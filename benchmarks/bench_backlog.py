@@ -29,7 +29,7 @@ def _animation_session(coalescing: bool):
     obs = Instrumentation()
     clock, ah, participant = tcp_session(
         config=config, bandwidth_bps=2_000_000, send_buffer=64 * 1024,
-        instrumentation=obs,
+        obs=obs,
     )
     win = ah.windows.create_window(Rect(0, 0, 480, 360))
     ah.apps.attach(AnimationApp(win, fps=30, balls=4))

@@ -19,7 +19,7 @@ from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import SharingConfig
 from repro.sharing.participant import Participant
 from repro.sharing.transport import (
-    MulticastReceiverTransport,
+    DatagramTransport,
     MulticastSenderTransport,
 )
 from repro.surface.geometry import Rect
@@ -88,19 +88,18 @@ def _multicast_fleet(n: int):
         feedbacks.append(feedback)
         participant = Participant(
             f"m{i}",
-            MulticastReceiverTransport(member, feedback.backward),
+            DatagramTransport(feedback.backward, member),
             clock=clock.now,
             config=ah.config,
         )
         participant.join()
         participants.append(participant)
 
-    session = ah.sessions["group"]
     wall_start = time.perf_counter()
     for i in range(ROUNDS):
         for feedback in feedbacks:
             for packet in feedback.backward.receive_ready():
-                ah._handle_rtcp(session, packet)
+                ah._handle_rtcp("group", packet)
         if i % 4 == 0:
             editor.type_text(f"round {i}\n")
         ah.advance(0.02)

@@ -1,6 +1,6 @@
 """Shared session builders for the benchmark experiments.
 
-Every builder accepts ``instrumentation=``: pass an
+Every builder accepts ``obs=``: pass an
 :class:`repro.Instrumentation` built on no clock (the builder binds it
 to the session clock) and the whole stack — scheduler, RTP, jitter
 buffer, rate control, channels — reports into one snapshot.
@@ -22,22 +22,22 @@ def tcp_session(
     bandwidth_bps: int = 0,
     send_buffer: int = 256 * 1024,
     screen=(1280, 1024),
-    instrumentation=None,
+    obs=None,
 ):
     """(clock, ah, participant) over one simulated TCP link."""
     clock = SimulatedClock()
-    if instrumentation is not None:
-        instrumentation.bind_clock(clock)
+    if obs is not None:
+        obs.bind_clock(clock)
     cfg = config or SharingConfig()
     ah = ApplicationHost(
         screen_width=screen[0], screen_height=screen[1], config=cfg,
-        clock=clock, instrumentation=instrumentation,
+        clock=clock, obs=obs,
     )
     link = duplex_reliable(
         ChannelConfig(delay=delay, bandwidth_bps=bandwidth_bps),
         clock.now,
         send_buffer=send_buffer,
-        instrumentation=instrumentation,
+        instrumentation=obs,
     )
     ah.add_participant("p1", StreamTransport(link.forward, link.backward))
     participant = Participant(
@@ -45,7 +45,7 @@ def tcp_session(
         StreamTransport(link.backward, link.forward),
         clock=clock,
         config=cfg,
-        instrumentation=instrumentation,
+        obs=obs,
     )
     participant.join()
     return clock, ah, participant
@@ -58,19 +58,19 @@ def udp_session(
     seed: int = 0,
     rate_bps: int | None = None,
     reorder_wait: float = 0.25,
-    instrumentation=None,
+    obs=None,
 ):
     """(clock, ah, participant) over one simulated UDP path."""
     clock = SimulatedClock()
-    if instrumentation is not None:
-        instrumentation.bind_clock(clock)
+    if obs is not None:
+        obs.bind_clock(clock)
     cfg = config or SharingConfig()
     ah = ApplicationHost(
-        config=cfg, clock=clock, instrumentation=instrumentation
+        config=cfg, clock=clock, obs=obs
     )
     link = duplex_lossy(
         ChannelConfig(delay=delay, loss_rate=loss_rate, seed=seed), clock.now,
-        instrumentation=instrumentation,
+        instrumentation=obs,
     )
     ah.add_participant(
         "p1", DatagramTransport(link.forward, link.backward), rate_bps=rate_bps
@@ -82,7 +82,7 @@ def udp_session(
         config=cfg,
         ah_supports_retransmissions=cfg.retransmissions,
         reorder_wait=reorder_wait,
-        instrumentation=instrumentation,
+        obs=obs,
     )
     participant.join()
     return clock, ah, participant
@@ -96,9 +96,9 @@ def add_udp_participant(
     delay: float = 0.02,
     seed: int = 0,
     rate_bps: int | None = None,
-    instrumentation=None,
+    obs=None,
 ):
-    obs = instrumentation if instrumentation is not None else ah.obs
+    obs = obs if obs is not None else ah.obs
     link = duplex_lossy(
         ChannelConfig(delay=delay, loss_rate=loss_rate, seed=seed), clock.now,
         instrumentation=obs.scoped(peer=name),
@@ -112,15 +112,15 @@ def add_udp_participant(
         clock=clock,
         config=ah.config,
         ah_supports_retransmissions=ah.config.retransmissions,
-        instrumentation=obs,
+        obs=obs,
     )
     participant.join()
     return participant
 
 
 def add_tcp_participant(clock, ah, name: str, delay: float = 0.01,
-                        bandwidth_bps: int = 0, instrumentation=None):
-    obs = instrumentation if instrumentation is not None else ah.obs
+                        bandwidth_bps: int = 0, obs=None):
+    obs = obs if obs is not None else ah.obs
     link = duplex_reliable(
         ChannelConfig(delay=delay, bandwidth_bps=bandwidth_bps), clock.now,
         instrumentation=obs.scoped(peer=name),
@@ -131,7 +131,7 @@ def add_tcp_participant(clock, ah, name: str, delay: float = 0.01,
         StreamTransport(link.backward, link.forward),
         clock=clock,
         config=ah.config,
-        instrumentation=obs,
+        obs=obs,
     )
     participant.join()
     return participant

@@ -31,7 +31,7 @@ def attach_udp_participant(clock, ah, name, loss_rate, seed, rate_bps=None):
         clock=clock,
         config=ah.config,
         ah_supports_retransmissions=ah.config.retransmissions,
-        instrumentation=ah.obs,
+        obs=ah.obs,
     )
     participant.join()  # UDP joiners announce themselves with a PLI
     return participant
@@ -40,7 +40,7 @@ def attach_udp_participant(clock, ah, name, loss_rate, seed, rate_bps=None):
 def main() -> None:
     clock = SimulatedClock()
     obs = Instrumentation(clock=clock)
-    ah = ApplicationHost(clock=clock, instrumentation=obs)
+    ah = ApplicationHost(clock=clock, obs=obs)
     window = ah.windows.create_window(Rect(40, 40, 480, 320), title="build log")
     terminal = TerminalApp(window)
     ah.apps.attach(terminal)

@@ -17,7 +17,7 @@ from repro.net.multicast import MulticastGroup
 from repro.rtp.clock import SimulatedClock
 from repro.sharing import (
     ApplicationHost,
-    MulticastReceiverTransport,
+    DatagramTransport,
     MulticastSenderTransport,
     Participant,
 )
@@ -48,7 +48,7 @@ class Classroom:
         self._feedback[name] = feedback
         student = Participant(
             name,
-            MulticastReceiverTransport(member_channel, feedback.backward),
+            DatagramTransport(feedback.backward, member_channel),
             clock=self.clock.now,
             config=self.ah.config,
         )
@@ -65,7 +65,7 @@ class Classroom:
         """Unicast PLI/NACK feedback reaches the AH out-of-band."""
         for feedback in self._feedback.values():
             for packet in feedback.backward.receive_ready():
-                self.ah._handle_rtcp(self.session, packet)
+                self.ah._handle_rtcp(self.session.participant_id, packet)
 
     def run(self, rounds: int, on_round=None) -> None:
         for i in range(rounds):

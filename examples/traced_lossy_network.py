@@ -31,7 +31,7 @@ def main() -> None:
     obs = Instrumentation(clock=clock)
     obs.spans  # switch span tracing on before the session is built
 
-    ah = ApplicationHost(clock=clock, instrumentation=obs)
+    ah = ApplicationHost(clock=clock, obs=obs)
     window = ah.windows.create_window(Rect(40, 40, 480, 320), title="build log")
     terminal = TerminalApp(window)
     ah.apps.attach(terminal)
@@ -49,7 +49,7 @@ def main() -> None:
         clock=clock,
         config=ah.config,
         ah_supports_retransmissions=ah.config.retransmissions,
-        instrumentation=obs,
+        obs=obs,
     )
     participant.join()
 

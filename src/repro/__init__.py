@@ -32,7 +32,6 @@ from __future__ import annotations
 from .rtp.clock import SimulatedClock
 from .net.channel import ChannelConfig, duplex_reliable
 from .obs import Instrumentation, MetricsRegistry, NULL, NullInstrumentation
-from .obs.instrumentation import resolve_obs as _resolve_obs
 from .relay import HostedRelay, RelayConfig, RelayNode, RelayTree
 from .sharing import host, join
 from .sharing.ah import ApplicationHost
@@ -76,7 +75,6 @@ def quick_session(
     delay: float = 0.01,
     bandwidth_bps: int = 0,
     obs: Instrumentation | None = None,
-    instrumentation: Instrumentation | None = None,
 ) -> tuple[ApplicationHost, Participant, SimulatedClock]:
     """One AH plus one TCP participant over a simulated link.
 
@@ -89,7 +87,6 @@ def quick_session(
     :func:`repro.sharing.join`; for many concurrent sessions in one
     process use :class:`repro.SessionServer`.
     """
-    obs = _resolve_obs(obs, instrumentation, "quick_session", default=None)
     clock = SimulatedClock()
     if obs is not None:
         obs.bind_clock(clock)

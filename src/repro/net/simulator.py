@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from ..obs.clockutil import resolve_clock
+from ..obs.clockutil import as_now
 from ..obs.instrumentation import NULL
 from ..rtp.clock import SimulatedClock
 
@@ -32,7 +32,7 @@ class Simulation:
             raise TypeError(
                 "Simulation needs a clock with now() and advance()"
             )
-        resolve_clock(clock, None, "Simulation")  # validates now()
+        as_now(clock)  # validates now()
         self.ah = ah
         self.clock = clock
         self.dt = dt

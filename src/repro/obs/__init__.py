@@ -14,7 +14,7 @@ snapshot schema.  ``python -m repro.obs --selftest`` smoke-checks the
 no-op overhead bound.
 """
 
-from .clockutil import as_now, resolve_clock
+from .clockutil import as_now
 from .export import chrome_trace, render_chrome_trace, render_json, render_prometheus
 from .flight import DEFAULT_SENTINELS, FlightRecorder
 from .instrumentation import (
@@ -22,7 +22,6 @@ from .instrumentation import (
     NULL,
     Instrumentation,
     NullInstrumentation,
-    resolve_obs,
 )
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, render_name
 from .spans import ABANDON_REASONS, NULL_SPANS, STAGES, SpanTracker, UpdateSpan
@@ -49,6 +48,4 @@ __all__ = [
     "render_json",
     "render_name",
     "render_prometheus",
-    "resolve_clock",
-    "resolve_obs",
 ]

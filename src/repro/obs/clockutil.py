@@ -8,14 +8,10 @@ positional ``now``.  Everything now accepts a ``clock`` that may be
 * a Clock-like object exposing ``now() -> float`` (e.g.
   :class:`~repro.rtp.clock.SimulatedClock`), or
 * a bare ``() -> float`` callable (e.g. ``time.monotonic``).
-
-The legacy ``now=`` keyword is kept as a deprecation shim for one
-release; :func:`resolve_clock` merges it and warns.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 Now = Callable[[], float]
@@ -36,28 +32,3 @@ def as_now(clock, default: Now | None = None) -> Now:
         "expected a Clock-like (with .now()) or a () -> float callable, "
         f"got {type(clock).__name__}"
     )
-
-
-def resolve_clock(
-    clock, now, owner: str, default: Now | None = None
-) -> Now:
-    """Merge the deprecated ``now=`` kwarg into ``clock`` and normalise.
-
-    ``default`` supplies the fallback when neither is given (pass None
-    to make the clock mandatory, as ``Participant`` historically did).
-    """
-    if now is not None:
-        warnings.warn(
-            f"{owner}(now=...) is deprecated; pass clock= "
-            "(a Clock-like or a () -> float callable)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if clock is None:
-            clock = now
-    try:
-        return as_now(clock, default)
-    except TypeError:
-        if clock is None:
-            raise TypeError(f"{owner} requires a clock") from None
-        raise

@@ -393,31 +393,3 @@ class NullInstrumentation:
 
 #: The shared no-op instance every component defaults to.
 NULL = NullInstrumentation()
-
-
-def resolve_obs(obs, instrumentation, owner: str, default=NULL):
-    """Merge the deprecated ``instrumentation=`` kwarg into ``obs``.
-
-    The public session classes (:class:`~repro.sharing.ah.ApplicationHost`,
-    :class:`~repro.sharing.participant.Participant`,
-    :class:`~repro.sharing.service.SharingService`,
-    :class:`~repro.sharing.server.SessionServer`) all take the
-    observability facade as ``obs=``; the historical ``instrumentation=``
-    spelling keeps working for one release with a warning — the same
-    migration pattern as ``now=`` → ``clock=``
-    (:func:`repro.obs.clockutil.resolve_clock`).
-
-    ``default`` supplies the fallback when neither is given (pass None
-    to let the caller apply its own default, e.g. inheriting the AH's).
-    """
-    import warnings
-
-    if instrumentation is not None:
-        warnings.warn(
-            f"{owner}(instrumentation=...) is deprecated; pass obs=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if obs is None:
-            obs = instrumentation
-    return obs if obs is not None else default

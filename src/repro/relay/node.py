@@ -15,8 +15,8 @@ PLIs terminate here:
   locally — the upstream never hears about it
   (``relay.absorbed_nacks``).
 * A cache miss enrols the requester in a per-sequence waiter set and
-  escalates **once** through the relay's own
-  :class:`~repro.sharing.recovery.RecoveryManager`: a thousand viewers
+  escalates **once** through the retry machine of the relay's own
+  :class:`~repro.sharing.stream.ReceiveLeg`: a thousand viewers
   NACKing the same lost packet produce exactly one upstream NACK (plus
   capped retries), not a thousand (``relay.nacks_deduplicated``).
   When the repair arrives it is re-forwarded only to the waiters.
@@ -45,28 +45,21 @@ from dataclasses import dataclass, field
 from ..core.errors import ProtocolError
 from ..health.liveness import LivenessConfig, LivenessTracker, PeerState
 from ..net.ratecontrol import TokenBucket
-from ..obs.clockutil import resolve_clock
-from ..obs.instrumentation import resolve_obs
+from ..obs.clockutil import as_now
+from ..obs.instrumentation import NULL
 from ..rtp.clock import DEFAULT_CLOCK_RATE
-from ..rtp.feedback import GenericNack, PictureLossIndication, aggregated_nacks
-from ..rtp.packet import RtpPacket
-from ..rtp.reports import (
-    DEFAULT_INTERVAL as RTCP_DEFAULT_INTERVAL,
-    RtcpReporter,
-    from_ntp,
-)
-from ..rtp.rtcp import SenderReport, decode_compound
+from ..rtp.feedback import GenericNack, PictureLossIndication
+from ..rtp.reports import DEFAULT_INTERVAL as RTCP_DEFAULT_INTERVAL
+from ..rtp.rtcp import decode_compound
 from ..rtp.sequence import SequenceExtender
-from ..rtp.session import RtpReceiver, generate_ssrc
-from ..sharing.config import PT_REMOTING
+from ..rtp.session import generate_ssrc
 from ..sharing.recovery import (
     DEFAULT_BACKOFF,
     DEFAULT_INITIAL_INTERVAL,
     DEFAULT_MAX_ATTEMPTS,
-    RecoveryManager,
 )
-from ..sharing.quarantine import QuarantinePolicy
 from ..sharing.retransmit import RetransmitCache
+from ..sharing.stream import PeerIngress, ReceiveLeg
 from ..sharing.transport import PacketTransport, is_rtcp
 
 
@@ -166,72 +159,31 @@ class RelayNode:
         config: RelayConfig | None = None,
         rng: random.Random | None = None,
         obs=None,
-        now=None,
-        instrumentation=None,
     ) -> None:
         self.id = relay_id
-        self.upstream = upstream
         self.config = config or RelayConfig()
-        self._now = resolve_clock(clock, now, "RelayNode", default=lambda: 0.0)
-        self.obs = resolve_obs(obs, instrumentation, "RelayNode").scoped(
+        self._now = as_now(clock, default=lambda: 0.0)
+        self.obs = (obs if obs is not None else NULL).scoped(
             peer=relay_id, side="relay"
         )
-        r = rng or random.Random(0)
+        self._rng = rng or random.Random(0)
         #: Our RTCP identity when we originate upstream feedback.
-        self.ssrc = generate_ssrc(r)
-        #: The media SSRC we are relaying (learned from the stream).
-        self.media_ssrc = 0
-        self.receiver = RtpReceiver(
-            clock_rate=self.config.clock_rate, now=self._now,
-            instrumentation=self.obs,
-        )
-        self.cache = RetransmitCache(
-            self.config.retransmit_cache_packets, instrumentation=self.obs
-        )
-        self.recovery = RecoveryManager(
-            now=self._now,
-            initial_interval=self.config.nack_retry_interval,
-            backoff=self.config.nack_backoff,
-            max_attempts=self.config.nack_max_attempts,
-            instrumentation=self.obs,
-        )
-        #: Periodic upstream receiver reports: the relay's own RTCP
-        #: presence on the parent link.  Beyond protocol correctness
-        #: this is the *liveness heartbeat* — a healthy relay with idle
-        #: downstreams would otherwise send nothing upstream and look
-        #: dead to the parent's silence thresholds.
-        self.reporter = RtcpReporter(
-            self._now, receiver=self.receiver,
-            cname=f"relay/{relay_id}", rng=r,
-            interval=self.config.heartbeat_interval,
-            instrumentation=self.obs,
-        )
-        #: Extended-sequence view of the forwarded stream, shared by the
-        #: duplicate filter and the waiter table.
-        self._extender = SequenceExtender()
-        #: Extended seqs already fanned out (bounded by forwarded_window).
-        self._forwarded: set[int] = set()
-        #: Extended seq → downstream ids still waiting for it (cache
-        #: misses pending upstream recovery).
-        self._wanted: dict[int, set[str]] = {}
+        self.ssrc = generate_ssrc(self._rng)
         self.downstreams: dict[str, RelayDownstream] = {}
         self._last_upstream_pli = float("-inf")
-        self._last_sr: tuple[float, int] | None = None
-        #: Downstream feedback quarantine (same policy every other
-        #: ingress point uses).
-        self.quarantine = QuarantinePolicy(
-            now=self._now,
-            budget=self.config.rejection_budget,
-            window=self.config.rejection_window,
-            cooldown=self.config.quarantine_cooldown,
-            instrumentation=self.obs,
+        self._attach_upstream(upstream)
+        #: The downstream feedback loop: quarantine mute, silence-driven
+        #: pruning of dead downstreams, pruning of closed ones.
+        self.ingress = PeerIngress(
+            self._now, self.config, self.config.liveness,
+            on_rtcp=self._handle_downstream_rtcp,
+            on_rtp=self._forward_hip,
+            on_gone=self._prune_downstream,
+            obs=self.obs,
         )
+        self.quarantine = self.ingress.quarantine
+        self.downstream_liveness = self.ingress.liveness
         live_cfg = self.config.liveness
-        #: Silence-driven pruning of dead downstreams.
-        self.downstream_liveness = (
-            LivenessTracker(self._now, live_cfg, instrumentation=self.obs)
-            if live_cfg is not None else None
-        )
         #: Parent-death detection (drives failover in the tree layer).
         self.upstream_liveness = (
             LivenessTracker(
@@ -323,8 +275,7 @@ class RelayNode:
             # degraded tier.
             limiter.rate_bps = max(1, int(rate_bps * self.rate_scale))
         self.downstreams[downstream_id] = downstream
-        if self.downstream_liveness is not None:
-            self.downstream_liveness.track(downstream_id)
+        self.ingress.add(downstream_id, transport)
         self._g_downstreams.set(len(self.downstreams))
         return downstream
 
@@ -339,9 +290,7 @@ class RelayNode:
             if not waiters:
                 # Nobody else wants the packet: stop escalating for it.
                 del self._wanted[ext]
-        self.quarantine.forget(downstream_id)
-        if self.downstream_liveness is not None:
-            self.downstream_liveness.forget(downstream_id)
+        self.ingress.remove(downstream_id)
         self._g_downstreams.set(len(self.downstreams))
 
     def _prune_downstream(self, downstream_id: str, reason: str) -> None:
@@ -398,30 +347,7 @@ class RelayNode:
         ``failover`` span stage from detection to that forward.
         """
         now = self._now()
-        self.upstream = transport
-        # The new parent is a new RTP sender — fresh SSRC and sequence
-        # space — so the old stream's receive state must not chase the
-        # new one: reset gap tracking, recovery, duplicate suppression
-        # and the retransmit cache (16-bit seq lookups would otherwise
-        # collide across streams and serve stale packets).
-        self.receiver = RtpReceiver(
-            clock_rate=self.config.clock_rate, now=self._now,
-            instrumentation=self.obs,
-        )
-        self.recovery = RecoveryManager(
-            now=self._now,
-            initial_interval=self.config.nack_retry_interval,
-            backoff=self.config.nack_backoff,
-            max_attempts=self.config.nack_max_attempts,
-            instrumentation=self.obs,
-        )
-        self.reporter.receiver = self.receiver
-        self.cache = RetransmitCache(
-            self.config.retransmit_cache_packets, instrumentation=self.obs
-        )
-        self._extender = SequenceExtender()
-        self._forwarded.clear()
-        self._wanted.clear()
+        self._attach_upstream(transport)
         if self.upstream_liveness is not None:
             self.upstream_liveness.forget("upstream")
             self.upstream_liveness.track("upstream")
@@ -436,13 +362,47 @@ class RelayNode:
         if self.obs.enabled:
             self.obs.event("health.failover", relay=self.id)
 
+    def _attach_upstream(self, transport: PacketTransport) -> None:
+        """Fresh receive state for a (new) upstream path.
+
+        A parent is one RTP sender — its own SSRC and sequence space —
+        so nothing keyed by sequence number may survive a change of
+        parent: gap tracking, the retry machine and the report
+        baseline (a new leg), duplicate suppression, the waiter table
+        and the retransmit cache (16-bit lookups would collide across
+        streams and serve stale packets).
+        """
+        #: The upstream receive side; its RRs are the heartbeat that
+        #: keeps an idle relay alive in its parent's eyes.
+        self.leg = ReceiveLeg(
+            transport, self._now, self.ssrc,
+            cname=f"relay/{self.id}", rng=self._rng,
+            clock_rate=self.config.clock_rate,
+            rtcp_interval=self.config.heartbeat_interval,
+            nack_retry_interval=self.config.nack_retry_interval,
+            nack_backoff=self.config.nack_backoff,
+            nack_max_attempts=self.config.nack_max_attempts,
+            obs=self.obs,
+        )
+        self.cache = RetransmitCache(
+            self.config.retransmit_cache_packets, instrumentation=self.obs
+        )
+        #: Extended-sequence view of the forwarded stream, shared by the
+        #: duplicate filter and the waiter table.
+        self._extender = SequenceExtender()
+        #: Extended seqs already fanned out (bounded by forwarded_window).
+        self._forwarded: set[int] = set()
+        #: Extended seq → downstream ids still waiting for it (cache
+        #: misses pending upstream recovery).
+        self._wanted: dict[int, set[str]] = {}
+
+    @property
+    def upstream(self) -> PacketTransport:
+        return self.leg.transport
+
     @property
     def downstream_count(self) -> int:
         return len(self.downstreams)
-
-    @property
-    def upstream_closed(self) -> bool:
-        return self.upstream.closed
 
     # -- The pump ----------------------------------------------------------
 
@@ -455,12 +415,10 @@ class RelayNode:
         if self.crashed:
             return 0
         processed = self._pump_upstream()
-        self._pump_downstream()
+        self.ingress.drain()
         self._poll_escalation()
         self._drain_queues()
-        report = self.reporter.poll()
-        if report is not None:
-            self.upstream.send_packet(report)
+        self.leg.send_report()
         self._poll_liveness()
         return processed
 
@@ -470,49 +428,27 @@ class RelayNode:
             processed += 1
             if self.upstream_liveness is not None:
                 self.upstream_liveness.note_alive("upstream")
-            if is_rtcp(raw):
-                self._handle_upstream_rtcp(raw)
-            else:
-                self._handle_upstream_rtp(raw)
+            try:
+                if is_rtcp(raw):
+                    self._handle_upstream_rtcp(raw)
+                else:
+                    self._handle_upstream_rtp(raw)
+            except ProtocolError:
+                self.malformed_dropped += 1
+                self._c_malformed.inc()
         return processed
 
-    def _pump_downstream(self) -> None:
-        departed = []
-        for downstream in list(self.downstreams.values()):
-            quarantined = self.quarantine.is_quarantined(
-                downstream.downstream_id
-            )
-            packets = downstream.transport.receive_packets()
-            if packets and self.downstream_liveness is not None:
-                self.downstream_liveness.note_alive(
-                    downstream.downstream_id
-                )
-            for raw in packets:
-                if quarantined:
-                    # Drain but ignore: a quarantined downstream still
-                    # proves liveness, but its feedback is untrusted.
-                    continue
-                if is_rtcp(raw):
-                    self._handle_downstream_rtcp(downstream, raw)
-                else:
-                    # HIP input: the relay is transparent to the
-                    # control plane — forward upstream verbatim so
-                    # floor control stays at the AH.
-                    self.upstream.send_packet(raw)
-                    self.hip_forwarded += 1
-                    self._c_hip.inc()
-            if downstream.transport.closed:
-                departed.append(downstream.downstream_id)
-        for downstream_id in departed:
-            self._prune_downstream(downstream_id, "closed")
+    def _forward_hip(self, downstream_id: str, raw: bytes) -> None:
+        # HIP input: the relay is transparent to the control plane —
+        # forward upstream verbatim so floor control stays at the AH.
+        self.upstream.send_packet(raw)
+        self.hip_forwarded += 1
+        self._c_hip.inc()
 
     def _poll_liveness(self) -> None:
         """Silence-driven eviction: prune dead downstreams, flag a dead
         parent for the tree layer's failover machinery."""
-        if self.downstream_liveness is not None:
-            report = self.downstream_liveness.poll()
-            for downstream_id in report.newly_dead:
-                self._prune_downstream(downstream_id, "dead")
+        self.ingress.poll_liveness()
         if self.upstream_liveness is not None:
             report = self.upstream_liveness.poll()
             if "upstream" in report.newly_dead:
@@ -537,18 +473,10 @@ class RelayNode:
     # -- Upstream media ----------------------------------------------------
 
     def _handle_upstream_rtp(self, raw: bytes) -> None:
-        try:
-            packet = RtpPacket.decode(raw)
-        except ProtocolError:
-            self.malformed_dropped += 1
-            self._c_malformed.inc()
+        packet, _recovered = self.leg.receive_rtp(raw)
+        if packet is None:
             return
-        if packet.payload_type != PT_REMOTING:
-            return
-        self.media_ssrc = packet.ssrc
         seq = packet.sequence_number
-        self.recovery.note_arrival(seq)
-        self.receiver.receive(packet)
         ext = self._extender.extend(seq)
         waiters = self._wanted.pop(ext, None)
         if ext in self._forwarded:
@@ -581,7 +509,9 @@ class RelayNode:
                         start=self._pending_failover, end=self._now(),
                     )
         self._pending_failover = None
-        self._observe_hop_latency(packet.timestamp)
+        hop_latency = self.leg.latency_of(packet.timestamp)
+        if hop_latency is not None:
+            self._h_hop.observe(hop_latency)
         for downstream in list(self.downstreams.values()):
             self._deliver(downstream, raw)
         self.packets_forwarded += 1
@@ -589,17 +519,7 @@ class RelayNode:
         self._c_fwd_bytes.inc(len(raw))
 
     def _handle_upstream_rtcp(self, raw: bytes) -> None:
-        try:
-            messages = decode_compound(raw)
-        except ProtocolError:
-            self.malformed_dropped += 1
-            self._c_malformed.inc()
-            return
-        for message in messages:
-            if isinstance(message, SenderReport):
-                self._last_sr = (
-                    from_ntp(message.ntp_timestamp), message.rtp_timestamp
-                )
+        self.leg.receive_rtcp(raw)
         # Fan the AH's RTCP to every downstream: leaf participants use
         # the SRs for latency estimation exactly as on a direct path.
         for downstream in list(self.downstreams.values()):
@@ -611,33 +531,17 @@ class RelayNode:
         horizon = newest_ext - self.config.forwarded_window
         self._forwarded = {e for e in self._forwarded if e >= horizon}
 
-    def _observe_hop_latency(self, rtp_timestamp: int) -> None:
-        """Source-capture → this-hop-forward delay via the SR map."""
-        if self._last_sr is None:
-            return
-        sr_wall, sr_rtp = self._last_sr
-        diff = (rtp_timestamp - sr_rtp) & 0xFFFF_FFFF
-        if diff >= 1 << 31:
-            diff -= 1 << 32
-        sent_wall = sr_wall + diff / self.config.clock_rate
-        latency = self._now() - sent_wall
-        if 0.0 <= latency < 60.0:
-            self._h_hop.observe(latency)
-
     # -- Downstream feedback -----------------------------------------------
 
-    def _handle_downstream_rtcp(
-        self, downstream: RelayDownstream, raw: bytes
-    ) -> None:
+    def _handle_downstream_rtcp(self, downstream_id: str, raw: bytes) -> None:
         try:
             messages = decode_compound(raw)
         except ProtocolError as exc:
             self.malformed_dropped += 1
             self._c_malformed.inc()
-            self.quarantine.record_rejection(
-                downstream.downstream_id, "relay-rtcp", exc
-            )
+            self.quarantine.record_rejection(downstream_id, "relay-rtcp", exc)
             return
+        downstream = self.downstreams[downstream_id]
         for message in messages:
             if isinstance(message, GenericNack):
                 self._handle_nack(downstream, message)
@@ -679,8 +583,7 @@ class RelayNode:
             self._c_plis_suppressed.inc()
             return
         self._last_upstream_pli = now
-        pli = PictureLossIndication(self.ssrc, self.media_ssrc)
-        self.upstream.send_packet(pli.encode())
+        self.leg.send_pli()
         self.upstream_plis += 1
         self._c_up_plis.inc()
 
@@ -693,23 +596,17 @@ class RelayNode:
         and every cache-missed downstream request — one state machine,
         so one upstream NACK per missing packet regardless of fan-in.
         """
-        missing = set(self.receiver.missing_sequence_numbers())
-        missing.update(ext & 0xFFFF for ext in self._wanted)
-        if not missing and not self.recovery.pending:
-            return
-        actions = self.recovery.poll(missing)
+        actions = self.leg.poll_recovery(
+            [ext & 0xFFFF for ext in self._wanted]
+        )
         if actions.nack_now:
-            for nack in aggregated_nacks(
-                self.ssrc, self.media_ssrc, actions.nack_now
-            ):
-                self.upstream.send_packet(nack.encode())
-                self.upstream_nacks += 1
-                self._c_up_nacks.inc()
+            nacks = len(self.leg.send_nacks(actions.nack_now))
+            self.upstream_nacks += nacks
+            self._c_up_nacks.inc(nacks)
             self.upstream_nacked_seqs += len(actions.nack_now)
             self._c_up_seqs.inc(len(actions.nack_now))
         if actions.gave_up:
             for seq in actions.gave_up:
-                self.receiver.gaps.acknowledge(seq)
                 self._wanted.pop(self._extender.extend(seq), None)
             self.gave_up += len(actions.gave_up)
             self._c_gave_up.inc(len(actions.gave_up))
@@ -758,10 +655,6 @@ class RelayNode:
                 self._send_now(downstream, raw)
 
     # -- Introspection -----------------------------------------------------
-
-    @property
-    def bytes_forwarded(self) -> int:
-        return sum(d.bytes_sent for d in self.downstreams.values())
 
     def snapshot(self) -> dict:
         """Flat counters for reports and the hosted-relay describe()."""

@@ -123,17 +123,23 @@ class RtpReceiver:
         if self.ssrc is None:
             self.ssrc = packet.ssrc
         arrival = self._now()
-        valid = packet.ssrc == self.ssrc and self.tracker.update(
+        same_source = packet.ssrc == self.ssrc
+        valid = same_source and self.tracker.update(
             packet.sequence_number, packet.timestamp, arrival
         )
         if valid:
             self.packets_received += 1
             self.octets_received += len(packet.payload)
-            self.gaps.record(packet.sequence_number)
             self._c_packets.inc()
             self._c_octets.inc(len(packet.payload))
         else:
             self._c_invalid.inc()
+        if same_source:
+            # Gap tracking sees every arrival, valid or not: a
+            # retransmission more than MAX_MISORDER behind the head
+            # fails the A.1 heuristic above, and unrecorded it would
+            # stay "missing" (and be NACKed) until the window slid past.
+            self.gaps.record(packet.sequence_number)
         return ReceivedPacket(packet, arrival, valid)
 
     def missing_sequence_numbers(self) -> list[int]:

@@ -48,7 +48,6 @@ from .service import SharingService
 from .signalling import RemotePeer, SignallingBinding
 from .transport import (
     DatagramTransport,
-    MulticastReceiverTransport,
     MulticastSenderTransport,
     PacketTransport,
     StreamTransport,
@@ -71,7 +70,6 @@ __all__ = [
     "LayoutPolicy",
     "LocalWindow",
     "MoveOp",
-    "MulticastReceiverTransport",
     "MulticastSenderTransport",
     "OriginalLayout",
     "PT_HIP",

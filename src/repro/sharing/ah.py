@@ -17,10 +17,10 @@ from ..apps.base import AppHost
 from ..codecs.base import CodecRegistry, default_registry
 from ..codecs.cache import EncodeCache
 from ..core.errors import ProtocolError
-from ..health.liveness import LivenessConfig, LivenessTracker
+from ..health.liveness import LivenessConfig
 from ..net.ratecontrol import TokenBucket
-from ..obs.clockutil import resolve_clock
-from ..obs.instrumentation import NULL, resolve_obs
+from ..obs.clockutil import as_now
+from ..obs.instrumentation import NULL
 from ..rtp.feedback import GenericNack, PictureLossIndication
 from ..rtp.reports import RtcpReporter
 from ..rtp.rtcp import RtcpError, decode_compound
@@ -33,9 +33,9 @@ from .capture import CapturePipeline
 from .config import PT_HIP, PT_REMOTING, PointerMode, SharingConfig
 from .encoder import FrameEncoder
 from .events import EventInjector, FloorCheck
-from .quarantine import QuarantinePolicy
 from .sender import UpdateScheduler
-from .transport import PacketTransport, is_rtcp
+from .stream import PeerIngress
+from .transport import PacketTransport
 
 
 @dataclass(slots=True)
@@ -45,9 +45,15 @@ class AhSession:
     participant_id: str
     transport: PacketTransport
     scheduler: UpdateScheduler
-    reporter: RtcpReporter | None = None
-    hip_receiver: RtpReceiver | None = None
+    reporter: RtcpReporter
+    hip_receiver: RtpReceiver
     is_group: bool = False
+
+    def send_report(self) -> None:
+        """Send the periodic RTCP report if one is due."""
+        report = self.reporter.poll()
+        if report is not None:
+            self.transport.send_packet(report)
 
 
 class ApplicationHost:
@@ -62,18 +68,14 @@ class ApplicationHost:
         clock=None,
         floor_check: FloorCheck | None = None,
         rng: random.Random | None = None,
-        now=None,
         obs=None,
-        instrumentation=None,
         liveness: LivenessConfig | None = None,
     ) -> None:
         self.config = config or SharingConfig()
         self.registry = registry or default_registry()
-        self._now = resolve_clock(
-            clock, now, "ApplicationHost", default=lambda: 0.0
-        )
+        self._now = as_now(clock, default=lambda: 0.0)
         self._rng = rng or random.Random(0)
-        self.obs = resolve_obs(obs, instrumentation, "ApplicationHost")
+        self.obs = obs if obs is not None else NULL
         #: One content-addressed encode cache for the whole session:
         #: the same damaged block fanned out to N destinations (or
         #: repeated over time) is encoded once.
@@ -108,31 +110,24 @@ class ApplicationHost:
             max_update_rects=self.config.max_update_rects,
             pointer_in_band=self.config.pointer_mode is PointerMode.IN_BAND,
         )
-        #: Malformed packets count against the sending participant's
-        #: rejection budget; a tripped budget mutes that participant's
-        #: ingress for the cool-down while everyone else is served.
-        self.quarantine = QuarantinePolicy(
-            now=self._now,
-            budget=self.config.rejection_budget,
-            window=self.config.rejection_window,
-            cooldown=self.config.quarantine_cooldown,
-            instrumentation=self.obs,
+        #: The participant feedback loop: the per-participant
+        #: quarantine mute, silence-driven eviction (opt-in through
+        #: ``liveness``) and removal of closed paths.
+        self.ingress = PeerIngress(
+            self._now, self.config, liveness,
+            on_rtcp=self._handle_rtcp,
+            on_rtp=self._handle_rtp,
+            on_gone=self._participant_gone,
+            obs=self.obs,
         )
+        self.quarantine = self.ingress.quarantine
+        self.liveness = self.ingress.liveness
         self.injector = EventInjector(
             self.windows, self.apps, pointer=self.pointer,
             floor_check=floor_check, instrumentation=self.obs,
             on_malformed=lambda pid, exc: self.quarantine.record_rejection(
                 pid, "hip", exc
             ),
-        )
-        #: Silence-driven participant eviction (opt-in): any arriving
-        #: packet proves liveness; healthy paths always carry at least
-        #: RTCP or keepalives, so silence past the thresholds means the
-        #: peer died or the path partitioned.
-        self.liveness = (
-            LivenessTracker(self._now, liveness, instrumentation=self.obs)
-            if liveness is not None
-            else None
         )
         self.sessions: dict[str, AhSession] = {}
         #: Message type → handler(participant_id, payload, packet) for
@@ -198,17 +193,14 @@ class ApplicationHost:
             is_group,
         )
         self.sessions[participant_id] = session
-        if self.liveness is not None:
-            self.liveness.track(participant_id)
+        self.ingress.add(participant_id, transport)
         if transport.reliable:
             scheduler.submit_full_refresh()
         return session
 
     def remove_participant(self, participant_id: str) -> None:
         self.sessions.pop(participant_id, None)
-        self.quarantine.forget(participant_id)
-        if self.liveness is not None:
-            self.liveness.forget(participant_id)
+        self.ingress.remove(participant_id)
 
     # -- Desktop sharing ---------------------------------------------------
 
@@ -237,10 +229,7 @@ class ApplicationHost:
             if not frame.is_empty:
                 session.scheduler.submit(frame)
             session.scheduler.pump()
-            if session.reporter is not None:
-                report = session.reporter.poll()
-                if report is not None:
-                    session.transport.send_packet(report)
+            session.send_report()
         self.process_incoming()
 
     def pump(self) -> None:
@@ -252,25 +241,7 @@ class ApplicationHost:
     # -- Receive path ------------------------------------------------------------------
 
     def process_incoming(self) -> None:
-        departed: list[str] = []
-        for session in self.sessions.values():
-            quarantined = self.quarantine.is_quarantined(
-                session.participant_id
-            )
-            packets = session.transport.receive_packets()
-            if packets and self.liveness is not None:
-                self.liveness.note_alive(session.participant_id)
-            for raw in packets:
-                if quarantined:
-                    continue  # drain but ignore until the cool-down ends
-                if is_rtcp(raw):
-                    self._handle_rtcp(session, raw)
-                else:
-                    self._handle_rtp(session, raw)
-            if session.transport.closed:
-                departed.append(session.participant_id)
-        for participant_id in departed:
-            self.remove_participant(participant_id)
+        self.ingress.drain()
 
     def poll_liveness(self) -> list[str]:
         """Evict participants silent past the dead threshold.
@@ -279,58 +250,56 @@ class ApplicationHost:
         session core) can drop the matching calls.  No-op without a
         configured tracker.
         """
-        if self.liveness is None:
-            return []
-        report = self.liveness.poll()
-        for participant_id in report.newly_dead:
-            self.remove_participant(participant_id)
+        return self.ingress.poll_liveness()
+
+    def _participant_gone(self, participant_id: str, reason: str) -> None:
+        self.remove_participant(participant_id)
+        if reason == "dead":
             self.participants_evicted += 1
             self._c_evicted.inc()
             if self.obs.enabled:
                 self.obs.event(
                     "health.participant_evicted", peer=participant_id
                 )
-        return report.newly_dead
 
-    def _handle_rtp(self, session: AhSession, raw: bytes) -> None:
+    def _handle_rtp(self, participant_id: str, raw: bytes) -> None:
+        session = self.sessions[participant_id]
         try:
             packet = RtpPacket.decode(raw)
         except ProtocolError as exc:
-            self.quarantine.record_rejection(session.participant_id, "rtp", exc)
+            self.quarantine.record_rejection(participant_id, "rtp", exc)
             return
         if packet.payload_type != PT_HIP:
             return
-        if session.hip_receiver is not None:
-            session.hip_receiver.receive(packet)
+        session.hip_receiver.receive(packet)
         if len(packet.payload) >= 1:
             handler = self.extension_handlers.get(packet.payload[0])
             if handler is not None:
                 try:
-                    if handler(session.participant_id, packet.payload, packet):
+                    if handler(participant_id, packet.payload, packet):
                         return
                 except ProtocolError as exc:
                     # Malformed extension input counts like any other;
                     # an extension *bug* (non-protocol error) propagates.
                     self.quarantine.record_rejection(
-                        session.participant_id, "extension", exc
+                        participant_id, "extension", exc
                     )
                     return
-        self.injector.inject_payload(session.participant_id, packet.payload)
+        self.injector.inject_payload(participant_id, packet.payload)
 
-    def _handle_rtcp(self, session: AhSession, raw: bytes) -> None:
+    def _handle_rtcp(self, participant_id: str, raw: bytes) -> None:
+        session = self.sessions[participant_id]
         try:
             messages = decode_compound(raw)
         except RtcpError as exc:
-            self.quarantine.record_rejection(
-                session.participant_id, "rtcp", exc
-            )
+            self.quarantine.record_rejection(participant_id, "rtcp", exc)
             return
         for message in messages:
             if isinstance(message, PictureLossIndication):
                 self.plis_received += 1
                 self._c_plis.inc()
                 if self.obs.enabled:
-                    self.obs.event("pli.received", peer=session.participant_id)
+                    self.obs.event("pli.received", peer=participant_id)
                 session.scheduler.submit_full_refresh()
             elif isinstance(message, GenericNack):
                 self.nacks_received += 1
@@ -338,7 +307,7 @@ class ApplicationHost:
                 if self.obs.enabled:
                     self.obs.event(
                         "nack.received",
-                        peer=session.participant_id,
+                        peer=participant_id,
                         count=len(message.sequence_numbers()),
                     )
                 if self.config.retransmissions:

@@ -46,20 +46,18 @@ from ..core.registry import (
     MSG_WINDOW_MANAGER_INFO,
 )
 from ..core.window_info import WindowManagerInfo, WindowRecord
-from ..obs.clockutil import resolve_clock
-from ..obs.instrumentation import NULL, resolve_obs
-from ..rtp.feedback import PictureLossIndication, nacks_for
+from ..obs.clockutil import as_now
+from ..obs.instrumentation import NULL
 from ..rtp.jitter_buffer import JitterBuffer
 from ..rtp.packet import RtpPacket
-from ..rtp.reports import RtcpReporter, from_ntp
-from ..rtp.rtcp import SenderReport, decode_compound
-from ..rtp.session import RtpReceiver, RtpSender
+from ..rtp.reports import DEFAULT_INTERVAL as RTCP_DEFAULT_INTERVAL
+from ..rtp.session import RtpSender
 from ..surface.framebuffer import BLACK, Framebuffer
 from ..surface.geometry import Point, Rect
-from .config import PT_HIP, PT_REMOTING, SharingConfig
+from .config import PT_HIP, SharingConfig
 from .layout import LayoutPolicy, OriginalLayout
 from .quarantine import QuarantinePolicy
-from .recovery import RecoveryManager
+from .stream import ReceiveLeg
 from .transport import PacketTransport, is_rtcp
 
 
@@ -99,14 +97,14 @@ class Participant:
         partial_update_deadline: float = 2.0,
         extension_handlers: dict | None = None,
         rng: random.Random | None = None,
-        now=None,
         obs=None,
-        instrumentation=None,
     ) -> None:
         self.id = participant_id
         self.transport = transport
-        self._now = resolve_clock(clock, now, "Participant")
-        self._obs = resolve_obs(obs, instrumentation, "Participant").scoped(
+        if clock is None:
+            raise TypeError("Participant requires a clock")
+        self._now = as_now(clock)
+        self._obs = (obs if obs is not None else NULL).scoped(
             peer=participant_id, side="participant"
         )
         #: Shared with the AH side of the session: arriving sequence
@@ -122,12 +120,24 @@ class Participant:
         self.hip_sender = RtpSender(
             PT_HIP, now=self._now, rng=r, instrumentation=self._obs
         )
-        self.receiver = RtpReceiver(
-            clock_rate=self.config.clock_rate, now=self._now,
-            instrumentation=self._obs.scoped(stream="remoting"),
-        )
         self.ssrc = self.hip_sender.ssrc
-        self._media_ssrc = 0  # learned from the first remoting packet
+        #: The remoting stream's receive side: gap tracking, the NACK
+        #: retry machine, RRs on the remoting stream and SRs for HIP
+        #: (``rtcp_interval`` None keeps the RFC 3550 5 s default).
+        self.leg = ReceiveLeg(
+            transport, self._now, self.ssrc,
+            cname=f"participant/{participant_id}", rng=r,
+            sender=self.hip_sender,
+            clock_rate=self.config.clock_rate,
+            rtcp_interval=(
+                RTCP_DEFAULT_INTERVAL if rtcp_interval is None
+                else rtcp_interval
+            ),
+            nack_retry_interval=nack_retry_interval,
+            nack_backoff=nack_backoff,
+            nack_max_attempts=nack_max_attempts,
+            obs=self._obs,
+        )
         # Reordering only matters on unreliable paths; the wait must
         # exceed the path RTT for NACK retransmissions to arrive in time.
         self._jitter = (
@@ -140,33 +150,8 @@ class Participant:
         #: Message type → handler(payload, packet) for registered
         #: extension types (section 9); unhandled types are ignored.
         self.extension_handlers = dict(extension_handlers or {})
-        self.nack_retry_interval = nack_retry_interval
-        #: The NACK retry state machine (section 5.3.2 hardening):
-        #: each missing extended sequence number walks NACK → backoff
-        #: retries → capped give-up + full-refresh degradation.
-        self.recovery = RecoveryManager(
-            now=self._now,
-            initial_interval=nack_retry_interval,
-            backoff=nack_backoff,
-            max_attempts=nack_max_attempts,
-            instrumentation=self._obs,
-        )
         self.pli_retry_interval = 1.0
         self._last_pli_time = float("-inf")
-        #: Periodic RTCP: RRs on the remoting stream, SRs for HIP.
-        #: These double as the liveness heartbeat — when the AH or a
-        #: relay runs silence-driven eviction, its ``dead_after`` must
-        #: exceed this pacing (``rtcp_interval`` None keeps the RFC
-        #: 3550 5 s default).
-        self.reporter = RtcpReporter(
-            self._now,
-            sender=self.hip_sender,
-            receiver=self.receiver,
-            cname=f"participant/{participant_id}",
-            rng=r,
-            **({} if rtcp_interval is None else {"interval": rtcp_interval}),
-            instrumentation=self._obs,
-        )
         #: Decode-time geometry validation against the negotiated
         #: desktop (section 8): update origins outside these bounds are
         #: rejected at ingress, before they reach app dispatch.
@@ -220,10 +205,6 @@ class Participant:
         self._c_plis = self._obs.counter("participant.plis_sent")
         self._c_nacks = self._obs.counter("participant.nacks_sent")
         self._c_malformed = self._obs.counter("participant.malformed_dropped")
-        #: Last AH SenderReport: (wall seconds, RTP timestamp) — the
-        #: NTP↔RTP mapping that lets us turn update timestamps back
-        #: into send-side wall time (RFC 3550 section 6.4.1).
-        self._last_sr: tuple[float, int] | None = None
         self._dropped_seen = 0
         self._joined = False
 
@@ -249,14 +230,12 @@ class Participant:
                 self._handle_rtcp(raw)
                 continue
             try:
-                packet = RtpPacket.decode(raw)
+                packet, recovered = self.leg.receive_rtp(raw)
             except ProtocolError as exc:
                 self._reject("rtp", exc)
                 continue
-            if packet.payload_type != PT_REMOTING:
+            if packet is None:
                 continue
-            self._media_ssrc = packet.ssrc
-            self.receiver.receive(packet)
             sid = None
             if self._spans.enabled:
                 sid = self._spans.resolve(
@@ -265,7 +244,7 @@ class Participant:
                 if sid is not None:
                     self._spans.mark(sid, "receive")
             if self._jitter is not None:
-                if self.recovery.note_arrival(packet.sequence_number):
+                if recovered:
                     self._spans.recovered(sid)
                 self._jitter.insert(packet)
             else:
@@ -278,11 +257,12 @@ class Participant:
             self._reassembler.expire()
             self._pointer_reassembler.expire()
         self._maybe_request_recovery()
-        report = self.reporter.poll()
-        if report is not None:
-            self.transport.send_packet(report)
-            self.stats.rtcp.add(len(report), len(report))
+        self._count_rtcp_sent(self.leg.send_report())
         return applied
+
+    def _count_rtcp_sent(self, size: int) -> None:
+        if size:
+            self.stats.rtcp.add(size, size)
 
     def _reject(self, surface: str, exc: ProtocolError) -> None:
         """Count one malformed packet against the sender's budget."""
@@ -293,16 +273,12 @@ class Participant:
     def _handle_rtcp(self, raw: bytes) -> None:
         """Consume AH-side RTCP (SRs feed our RR's LSR/DLSR fields)."""
         try:
-            messages = decode_compound(raw)
+            reports = self.leg.receive_rtcp(raw)
         except ProtocolError as exc:
             self._reject("rtcp", exc)
             return
-        for message in messages:
-            if isinstance(message, SenderReport):
-                self.reporter.saw_sender_report(message)
-                self._last_sr = (
-                    from_ntp(message.ntp_timestamp), message.rtp_timestamp
-                )
+        for report in reports:
+            self.leg.reporter.saw_sender_report(report)
 
     def _apply_packet(self, packet: RtpPacket) -> int:
         """Apply one remoting packet.
@@ -473,7 +449,7 @@ class Participant:
             self._spans.complete(span_id)
         self.updates_applied += 1
         self._c_updates.inc()
-        latency = self._estimate_latency(rtp_timestamp)
+        latency = self.leg.latency_of(rtp_timestamp)
         if latency is not None:
             self.update_latency.record(latency)
         if self._obs.enabled:
@@ -484,27 +460,6 @@ class Participant:
                 bytes=len(data),
                 update_id=span_id,
             )
-
-    def _estimate_latency(self, rtp_timestamp: int) -> float | None:
-        """AH-capture → local-apply delay via the last SR's NTP↔RTP map.
-
-        RFC 3550 SRs pair a wall-clock (NTP) instant with the stream's
-        RTP timestamp at that instant; with a shared simulation clock
-        that is enough to place any update's media timestamp on the
-        wall-clock axis.  Returns None before the first SR or when the
-        estimate is implausible (clock skew, timestamp wrap mid-gap).
-        """
-        if self._last_sr is None:
-            return None
-        sr_wall, sr_rtp = self._last_sr
-        diff = (rtp_timestamp - sr_rtp) & 0xFFFF_FFFF
-        if diff >= 1 << 31:
-            diff -= 1 << 32
-        sent_wall = sr_wall + diff / self.config.clock_rate
-        latency = self._now() - sent_wall
-        if 0.0 <= latency < 60.0:
-            return latency
-        return None
 
     def _apply_pointer(
         self, left: int, top: int, content_pt: int, image_data: bytes
@@ -553,53 +508,44 @@ class Participant:
             # would arrive as a late drop.  Cancel their retry state and
             # stop reporting them as missing.
             for seq in self._jitter.drain_skipped():
-                self.recovery.cancel(seq)
-                self.receiver.gaps.acknowledge(seq)
+                self.leg.forget(seq)
         if self.ah_supports_retransmissions:
-            actions = self.recovery.poll(
-                self.receiver.missing_sequence_numbers()
-            )
+            actions = self.leg.poll_recovery()
             if actions.nack_now:
                 self.send_nack(actions.nack_now)
             if actions.gave_up:
-                # Retries exhausted: degrade gracefully.  Release the
-                # jitter-buffer holes so later packets flow, stop
-                # NACKing these sequences, and ask the AH for a full
-                # window refresh to repair whatever the lost packets
-                # carried.
+                # Retries exhausted (the leg has stopped NACKing these
+                # sequences): degrade gracefully.  Release the
+                # jitter-buffer holes so later packets flow and ask the
+                # AH for a full window refresh to repair whatever the
+                # lost packets carried.
                 if self._spans.enabled:
                     for seq in actions.gave_up:
                         self._spans.abandon(
-                            self._spans.resolve(self._media_ssrc, seq),
+                            self._spans.resolve(self.leg.media_ssrc, seq),
                             "give_up",
                         )
-                for seq in actions.gave_up:
-                    self.receiver.gaps.acknowledge(seq)
                 self._jitter.abandon(actions.gave_up)
                 self.send_pli()
 
     def send_pli(self) -> None:
         """Request a full refresh of the shared region (section 5.3.1)."""
-        pli = PictureLossIndication(self.ssrc, self._media_ssrc)
-        encoded = pli.encode()
         self._last_pli_time = self._now()
-        self.transport.send_packet(encoded)
+        self._count_rtcp_sent(self.leg.send_pli())
         self.plis_sent += 1
         self._c_plis.inc()
-        self.stats.rtcp.add(len(encoded), len(encoded))
         if self._obs.enabled:
             self._obs.event("pli.sent")
 
     def send_nack(self, missing: list[int]) -> None:
         """Report missing RTP packets (section 5.3.2)."""
-        nack = nacks_for(self.ssrc, self._media_ssrc, missing)
-        if nack is None:
+        sizes = self.leg.send_nacks(missing)
+        if not sizes:
             return
-        encoded = nack.encode()
-        self.transport.send_packet(encoded)
-        self.nacks_sent += 1
-        self._c_nacks.inc()
-        self.stats.rtcp.add(len(encoded), len(encoded))
+        for size in sizes:
+            self._count_rtcp_sent(size)
+        self.nacks_sent += len(sizes)
+        self._c_nacks.inc(len(sizes))
         if self._obs.enabled:
             self._obs.event("nack.sent", count=len(missing))
 

@@ -14,7 +14,7 @@ See ``docs/API.md`` for the public surface and
 p95-latency gates.
 """
 
-from .aio import AsyncTransport, CooperativeTransport, DEFAULT_BUDGET
+from .aio import CooperativeTransport, DEFAULT_BUDGET
 from .core import CoreCall, SessionCore
 from .errors import (
     DuplicateJoinCode,
@@ -30,7 +30,6 @@ from .session import HostedSession, SessionState
 from .server import JoinedParticipant, SessionServer
 
 __all__ = [
-    "AsyncTransport",
     "CODE_ALPHABET",
     "CooperativeTransport",
     "CoreCall",

@@ -1,24 +1,17 @@
-"""Non-blocking transport adapters for the asyncio session server.
+"""The loop-friendly transport adapter for the asyncio session server.
 
 Every transport in :mod:`repro.sharing.transport` is already
 *non-blocking* in the syscall sense (simulated channels never block;
 the real sockets are ``setblocking(False)``), but a busy destination
 can still hand ``receive_packets()`` an unbounded batch, and one
 chatty session must not monopolise the event loop while its neighbours
-starve.  Two adapters keep per-session work loop-friendly:
-
-* :class:`CooperativeTransport` bounds how many packets one
-  ``receive_packets()`` call may return, buffering the excess locally,
-  so each media-pump iteration does a bounded amount of work.
-* :class:`AsyncTransport` adds awaitable receive on top — it yields to
-  the event loop between bounded batches, and for real-socket
-  transports (anything exposing ``fileno()``) it wakes on readability
-  via ``loop.add_reader`` instead of polling.
+starve.  :class:`CooperativeTransport` bounds how many packets one
+``receive_packets()`` call may return, buffering the excess locally,
+so each media-pump iteration does a bounded amount of work.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 
 from ..transport import PacketTransport
@@ -59,11 +52,6 @@ class CooperativeTransport(PacketTransport):
         n = min(self.budget, len(pending))
         return [pending.popleft() for _ in range(n)]
 
-    @property
-    def has_backlog(self) -> bool:
-        """True when a previous drain left packets buffered locally."""
-        return bool(self._pending)
-
     def backlog_bytes(self) -> int:
         return self.inner.backlog_bytes()
 
@@ -74,75 +62,3 @@ class CooperativeTransport(PacketTransport):
     def closed(self) -> bool:
         # Deliver buffered packets before reporting the close.
         return self.inner.closed and not self._pending
-
-
-class AsyncTransport(CooperativeTransport):
-    """Awaitable receive over a cooperative transport.
-
-    ``recv()`` returns the next bounded batch, yielding to the event
-    loop first so sibling sessions interleave; when the underlying
-    transport exposes a ``fileno()`` (real sockets), the adapter
-    registers a reader with the running loop and sleeps until the
-    socket is readable instead of spin-polling.
-    """
-
-    def __init__(self, inner: PacketTransport,
-                 budget: int = DEFAULT_BUDGET,
-                 poll_interval: float = 0.001) -> None:
-        super().__init__(inner, budget)
-        self._poll_interval = poll_interval
-        self._readable: asyncio.Event | None = None
-        self._reader_fd: int | None = None
-
-    def _fileno(self) -> int | None:
-        fileno = getattr(self.inner, "fileno", None)
-        if callable(fileno):
-            try:
-                return fileno()
-            except (OSError, ValueError):
-                return None
-        return None
-
-    def _ensure_reader(self) -> asyncio.Event | None:
-        """Register an add_reader wake-up if the transport has an fd."""
-        if self._readable is not None:
-            return self._readable
-        fd = self._fileno()
-        if fd is None:
-            return None
-        loop = asyncio.get_running_loop()
-        event = asyncio.Event()
-        loop.add_reader(fd, event.set)
-        self._readable = event
-        self._reader_fd = fd
-        return event
-
-    def detach(self) -> None:
-        """Unregister the add_reader hook (call before closing the fd)."""
-        if self._reader_fd is not None:
-            try:
-                asyncio.get_running_loop().remove_reader(self._reader_fd)
-            except RuntimeError:
-                pass  # loop already gone
-            self._reader_fd = None
-            self._readable = None
-
-    async def recv(self) -> list[bytes]:
-        """The next bounded batch; [] only when the transport closed."""
-        await asyncio.sleep(0)  # always give siblings a turn first
-        while True:
-            batch = self.receive_packets()
-            if batch or self.closed:
-                return batch
-            event = self._ensure_reader()
-            if event is not None:
-                event.clear()
-                await event.wait()
-            else:
-                # Simulated paths have no fd to wait on: packets appear
-                # when the session clock advances, so poll gently.
-                await asyncio.sleep(self._poll_interval)
-
-    async def send(self, packet: bytes) -> bool:
-        """Send without blocking the loop (delegates; never waits)."""
-        return self.send_packet(packet)

@@ -26,7 +26,6 @@ import random
 from dataclasses import dataclass, field
 
 from ...net.channel import ChannelConfig, duplex_lossy, duplex_reliable
-from ...obs.instrumentation import NULL, resolve_obs
 from ...sdp import build_ah_offer, negotiate, parse_sdp
 from ...sip.dialog import DialogState, SipEndpoint
 from ..ah import ApplicationHost
@@ -62,7 +61,6 @@ class SessionCore:
         rng: random.Random | None = None,
         rate_bps: int | None = None,
         obs=None,
-        instrumentation=None,
         cooperative_budget: int | None = None,
     ) -> None:
         if not callable(getattr(clock, "now", None)):
@@ -74,9 +72,7 @@ class SessionCore:
         self._rng = rng or random.Random(7)
         #: Token-bucket tier attached to UDP participants (section 4.3).
         self.rate_bps = rate_bps
-        obs = resolve_obs(obs, instrumentation, type(self).__name__,
-                          default=None)
-        self.obs = obs if obs is not None else getattr(ah, "obs", None)
+        self.obs = obs if obs is not None else ah.obs
         #: Per-drain packet bound applied to negotiated media transports
         #: (None = unbounded, the historical synchronous behaviour).
         self.cooperative_budget = cooperative_budget
@@ -84,10 +80,9 @@ class SessionCore:
         #: Completed joins over the core's lifetime (distinct from the
         #: ``session.joins`` counter, which may be shared/labelled).
         self.joins_completed = 0
-        m_obs = self.obs if self.obs is not None else NULL
-        self._h_join = m_obs.histogram("session.join_seconds")
-        self._c_joins = m_obs.counter("session.joins")
-        self._c_leaves = m_obs.counter("session.leaves")
+        self._h_join = self.obs.histogram("session.join_seconds")
+        self._c_joins = self.obs.counter("session.joins")
+        self._c_leaves = self.obs.counter("session.leaves")
 
     # -- Inviting -----------------------------------------------------------
 
@@ -124,7 +119,7 @@ class SessionCore:
         call = CoreCall(endpoint, binding, invited_at=self.clock.now())
         self._calls[name] = call
         endpoint.invite(remote_uri, build_ah_offer().to_string())
-        if self.obs is not None and self.obs.enabled:
+        if self.obs.enabled:
             self.obs.event("session.invite", peer=name)
         return binding
 
@@ -152,7 +147,7 @@ class SessionCore:
         """Participant answered: build the negotiated media path."""
         agreed = negotiate(parse_sdp(answer_sdp)) if answer_sdp.strip() else None
         transport_kind = agreed.transport if agreed else "tcp"
-        link_obs = self.obs.scoped(peer=name) if self.obs is not None else None
+        link_obs = self.obs.scoped(peer=name)
         if transport_kind == "udp":
             link = duplex_lossy(
                 self.channel_config, self.clock.now, instrumentation=link_obs
@@ -181,7 +176,7 @@ class SessionCore:
         self.joins_completed += 1
         self._c_joins.inc()
         self._h_join.observe(call.established_at - call.invited_at)
-        if self.obs is not None and self.obs.enabled:
+        if self.obs.enabled:
             self.obs.event(
                 "session.established", peer=name, transport=transport_kind
             )
@@ -194,7 +189,7 @@ class SessionCore:
         if call is not None:
             call.participant = None
             self._c_leaves.inc()
-            if self.obs is not None and self.obs.enabled:
+            if self.obs.enabled:
                 self.obs.event("session.bye", peer=name)
             for watcher in call.watchers:
                 watcher("terminated", call)
@@ -272,7 +267,7 @@ class SessionCore:
             if call is not None:
                 call.participant = None
                 self._c_leaves.inc()
-                if self.obs is not None and self.obs.enabled:
+                if self.obs.enabled:
                     self.obs.event("session.evicted", peer=name)
                 for watcher in call.watchers:
                     watcher("evicted", call)
@@ -285,10 +280,7 @@ class SessionCore:
         so polling between media rounds is cheap and idempotent.
         """
         for session in self.ah.sessions.values():
-            if session.reporter is not None:
-                report = session.reporter.poll()
-                if report is not None:
-                    session.transport.send_packet(report)
+            session.send_report()
 
     def advance(self, dt: float) -> None:
         """One synchronous service round: signalling, media, participants.

@@ -33,7 +33,7 @@ from ...health.admission import AdmissionControl, AdmissionDecision, OverloadCon
 from ...health.liveness import LivenessConfig
 from ...health.supervisor import RestartPolicy, TaskSupervisor
 from ...net.channel import ChannelConfig
-from ...obs.instrumentation import NULL, resolve_obs
+from ...obs.instrumentation import NULL
 from ...rtp.clock import SimulatedClock
 from ..config import SharingConfig
 from ..participant import Participant
@@ -88,7 +88,6 @@ class SessionServer:
         channel_config: ChannelConfig | None = None,
         rng: random.Random | None = None,
         obs=None,
-        instrumentation=None,
         cooperative_budget: int | None = 256,
         join_timeout: float = 5.0,
         overload: OverloadConfig | None = None,
@@ -104,7 +103,7 @@ class SessionServer:
         self.tick = tick
         self.channel_config = channel_config or ChannelConfig(delay=0.01)
         self._rng = rng or random.Random(2007)
-        self.obs = resolve_obs(obs, instrumentation, "SessionServer")
+        self.obs = obs if obs is not None else NULL
         if self.obs is not NULL:
             self.obs.bind_clock(self.clock)
         self.registry = SessionRegistry(

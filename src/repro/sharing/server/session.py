@@ -3,14 +3,15 @@
 A :class:`HostedSession` is what a join code resolves to.  It owns the
 :class:`~repro.sharing.ah.ApplicationHost`, the per-session
 :class:`~repro.sharing.server.core.SessionCore`, and — once the server
-starts it — three asyncio tasks:
+starts it — two asyncio tasks:
 
 * the **signalling pump** drains SIP both ways and auto-answers the
   remote peers the front door created;
 * the **media pump** runs capture→distribute→receive rounds, computing
-  ``dt`` from the server clock so sessions tolerate uneven scheduling;
-* the **RTCP timer** polls the reporters at a coarser cadence so
-  reports flow even while media is idle.
+  ``dt`` from the server clock so sessions tolerate uneven scheduling.
+  Every round — idle ones included — also gives each destination's
+  RTCP reporter its send opportunity, so reports need no timer task of
+  their own.
 
 Every task iteration ends by yielding to the event loop, so hundreds
 of sessions interleave fairly and per-session work never blocks the
@@ -56,7 +57,6 @@ class HostedSession:
         cooperative_budget: int | None = 256,
         close_when_empty: bool = True,
         tick: float = 0.02,
-        rtcp_interval: float = 0.25,
         liveness: LivenessConfig | None = None,
         supervisor: TaskSupervisor | None = None,
     ) -> None:
@@ -91,7 +91,6 @@ class HostedSession:
         self.state = SessionState.OPEN
         self.close_when_empty = close_when_empty
         self.tick = tick
-        self.rtcp_interval = rtcp_interval
         self.created_at = clock.now()
         #: Remote peers the front door manages, keyed by participant name.
         self.peers: dict[str, RemotePeer] = {}
@@ -99,7 +98,6 @@ class HostedSession:
         self.closed_event = asyncio.Event()
         self.on_close = None  # set by the server: callback(code)
         self._last_media = clock.now()
-        self._last_rtcp = clock.now()
 
     # -- Front-door participant lifecycle -----------------------------------
 
@@ -143,7 +141,6 @@ class HostedSession:
         pumps = [
             (f"{name}-signalling", self._signalling_pump),
             (f"{name}-media", lambda: self._media_pump(realtime)),
-            (f"{name}-rtcp", lambda: self._rtcp_timer(realtime)),
         ]
         if self.ah.encode_pool is not None:
             # The pool self-heals on use, but the watch loop respawns
@@ -202,17 +199,6 @@ class HostedSession:
         while self.state is SessionState.OPEN and not pool.closed:
             pool.ensure_workers()
             await asyncio.sleep(0.5)
-
-    async def _rtcp_timer(self, realtime: bool) -> None:
-        while self.state is SessionState.OPEN:
-            now = self.clock.now()
-            if now - self._last_rtcp >= self.rtcp_interval:
-                self._last_rtcp = now
-                self.core.poll_rtcp()
-            if realtime:
-                await asyncio.sleep(self.rtcp_interval)
-            else:
-                await asyncio.sleep(0)
 
     def _maybe_close_when_empty(self) -> None:
         if (

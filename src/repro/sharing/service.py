@@ -4,12 +4,13 @@
 hosting core: one :class:`~repro.sharing.ah.ApplicationHost` whose
 participant lifecycle is driven by SIP (the "integrated into the
 existing IETF session model" story of section 2), runnable end to end
-on simulated links.  All of the actual machinery — endpoints, bindings,
-negotiated media wiring, participant lifecycle — lives in
+on simulated links.  All of the machinery — endpoints, bindings,
+negotiated media wiring, participant lifecycle, the synchronous
+``advance`` loop — lives in
 :class:`~repro.sharing.server.core.SessionCore`, which the asyncio
 :class:`~repro.sharing.server.SessionServer` drives at
-hundreds-of-sessions scale; this class is a thin wrapper that adds the
-synchronous ``advance`` loop and the deprecated call shims.
+hundreds-of-sessions scale; this class only insists on a clock it can
+advance itself.
 
 Public API::
 
@@ -17,22 +18,15 @@ Public API::
     binding = service.invite("alice", remote_endpoint)  # service owns queues
     ...
     service.advance(0.02)
-
-The historical 4-argument ``invite(name, remote, remote_inbox,
-local_inbox)`` form — caller-supplied message queues — keeps working
-for one release with a :class:`DeprecationWarning`, as does
-``instrumentation=`` for ``obs=``.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 
 from ..net.channel import ChannelConfig
 from ..rtp.clock import SimulatedClock
 from .server.core import SessionCore
-from .signalling import SignallingBinding
 
 
 class SharingService(SessionCore):
@@ -47,7 +41,6 @@ class SharingService(SessionCore):
         rng: random.Random | None = None,
         rate_bps: int | None = None,
         obs=None,
-        instrumentation=None,
     ) -> None:
         if not callable(getattr(clock, "now", None)) or not callable(
             getattr(clock, "advance", None)
@@ -63,49 +56,4 @@ class SharingService(SessionCore):
             rng=rng,
             rate_bps=rate_bps,
             obs=obs,
-            instrumentation=instrumentation,
         )
-
-    # -- Inviting (with the legacy 4-argument shim) -------------------------
-
-    def invite(
-        self,
-        name: str,
-        remote=None,
-        remote_inbox=None,
-        local_inbox=None,
-        binding: SignallingBinding | None = None,
-    ) -> SignallingBinding:
-        """Start signalling toward a remote party; returns the binding.
-
-        New form: ``invite(name, remote)`` — the service creates and
-        owns the signalling queues; drive the remote side through the
-        returned :class:`~repro.sharing.signalling.SignallingBinding`.
-
-        Deprecated form: ``invite(name, remote, remote_inbox,
-        local_inbox)`` — the caller's two queues are wrapped in a
-        binding unchanged (the remote endpoint keeps whatever ``send``
-        it was built with).
-        """
-        if remote_inbox is not None or local_inbox is not None:
-            warnings.warn(
-                "SharingService.invite(name, remote, remote_inbox, "
-                "local_inbox) is deprecated; call invite(name, remote) and "
-                "use the returned SignallingBinding",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if remote_inbox is None or local_inbox is None:
-                raise TypeError(
-                    "legacy invite needs both remote_inbox and local_inbox"
-                )
-            if binding is not None:
-                raise TypeError("pass either inboxes or a binding, not both")
-            binding = SignallingBinding(
-                name, to_remote=remote_inbox, to_service=local_inbox
-            )
-            # Legacy callers wired their endpoint's send themselves;
-            # don't re-attach it to the binding.
-            remote_uri = getattr(remote, "uri", None) or str(remote)
-            return super().invite(name, remote_uri, binding=binding)
-        return super().invite(name, remote, binding=binding)

@@ -33,8 +33,8 @@ class SignallingBinding:
     (or by hand, for callers that run their own endpoint loop).
 
     The queues default to :class:`collections.deque` but any sequence
-    with ``append`` works — the deprecated 4-argument ``invite`` shim
-    wraps the caller's legacy lists in a binding unchanged.
+    with ``append`` works: a caller that runs its own endpoint loop may
+    hand in the two lists it already drains.
     """
 
     __slots__ = ("name", "to_remote", "to_service", "_remote")

@@ -132,7 +132,11 @@ class MulticastSenderTransport(PacketTransport):
     """AH-side handle on a multicast group: send fans out, receive is empty.
 
     Feedback (PLI/NACK) from multicast receivers travels over separate
-    unicast return transports, so the group itself is send-only.
+    unicast return channels, so the group itself is send-only.  The
+    receiving side needs no class of its own: it is a
+    :class:`DatagramTransport` whose inbound channel is the member's
+    group subscription and whose outbound channel is the unicast
+    feedback path.
     """
 
     reliable = False
@@ -146,23 +150,6 @@ class MulticastSenderTransport(PacketTransport):
 
     def receive_packets(self) -> list[bytes]:
         return []
-
-
-class MulticastReceiverTransport(PacketTransport):
-    """Participant-side multicast handle: receives the fan-out, sends
-    feedback on a unicast back-channel."""
-
-    reliable = False
-
-    def __init__(self, inbound: LossyChannel, feedback: LossyChannel) -> None:
-        self._in = inbound
-        self._feedback = feedback
-
-    def send_packet(self, packet: bytes) -> bool:
-        return self._feedback.send(packet)
-
-    def receive_packets(self) -> list[bytes]:
-        return self._in.receive_ready()
 
 
 class UdpSocketTransport(PacketTransport):

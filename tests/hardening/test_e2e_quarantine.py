@@ -37,7 +37,7 @@ def _session(clock, obs, budget=8):
         rejection_budget=budget, rejection_window=60.0,
         quarantine_cooldown=30.0,
     )
-    ah = ApplicationHost(config=config, clock=clock.now, instrumentation=obs)
+    ah = ApplicationHost(config=config, clock=clock.now, obs=obs)
     window = ah.windows.create_window(Rect(40, 40, 300, 200))
     editor = TextEditorApp(window)
     ah.apps.attach(editor)

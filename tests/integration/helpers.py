@@ -51,7 +51,7 @@ def udp_pair(
     rate_bps: int | None = None,
     reorder_wait: float = 0.25,
     faults=None,
-    instrumentation=None,
+    obs=None,
     **participant_kwargs,
 ) -> Participant:
     """Attach one UDP participant to ``ah`` over a simulated lossy path.
@@ -85,7 +85,7 @@ def udp_pair(
         clock=clock.now,
         config=ah.config,
         reorder_wait=reorder_wait,
-        instrumentation=instrumentation,
+        obs=obs,
         **participant_kwargs,
     )
     participant.link = link

@@ -207,7 +207,7 @@ class TestBurstLossRecovery:
             duplicate_rate=0.03,
         )
         participant = udp_pair(
-            clock, ah, seed=11, instrumentation=obs
+            clock, ah, seed=11, obs=obs
         )
         sim = Simulation(ah, clock, instrumentation=obs)
         sim.add_participant(participant)
@@ -248,7 +248,7 @@ class TestBurstLossRecovery:
         obs = Instrumentation(clock=clock.now)
         ah, _win, editor = editor_session(clock)
         participant = udp_pair(
-            clock, ah, seed=4, instrumentation=obs,
+            clock, ah, seed=4, obs=obs,
             faults=FaultProfile(duplicate_rate=0.5),
         )
 
@@ -281,7 +281,7 @@ class TestGiveUpDegradation:
         config = SharingConfig(retransmissions=False)
         ah, _win, editor = editor_session(clock, config)
         participant = udp_pair(
-            clock, ah, seed=17, instrumentation=obs,
+            clock, ah, seed=17, obs=obs,
             ah_supports_retransmissions=True,
             reorder_wait=30.0,
         )
@@ -309,6 +309,6 @@ class TestGiveUpDegradation:
         assert _snapshot_total(snap, "recovery.gave_up") > 0
         assert _snapshot_total(snap, "recovery.recovered") == 0
         assert _snapshot_total(snap, "jitter.sequences_abandoned") > 0
-        assert participant.recovery.pending == 0  # state fully drained
+        assert participant.leg.recovery.pending == 0  # state fully drained
         assert ah.plis_received > 0
         assert ah.nacks_received > 0  # the AH heard and ignored them

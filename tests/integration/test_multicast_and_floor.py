@@ -12,7 +12,7 @@ from repro.rtp.clock import SimulatedClock
 from repro.sharing.ah import ApplicationHost
 from repro.sharing.participant import Participant
 from repro.sharing.transport import (
-    MulticastReceiverTransport,
+    DatagramTransport,
     MulticastSenderTransport,
 )
 from repro.surface.geometry import Rect
@@ -40,7 +40,7 @@ def multicast_session(clock, ah, names, loss_rate=0.0):
         member_channel = group.subscribe(name)
         feedback = duplex_lossy(ChannelConfig(delay=0.01, seed=hash(name) % 97), clock.now)
         feedback_links[name] = feedback
-        transport = MulticastReceiverTransport(member_channel, feedback.backward)
+        transport = DatagramTransport(feedback.backward, member_channel)
         participant = Participant(
             name, transport, clock=clock.now, config=ah.config,
         )
@@ -63,7 +63,7 @@ class TestMulticastSession:
         def pump_feedback():
             for feedback in feedbacks.values():
                 for packet in feedback.backward.receive_ready():
-                    ah._handle_rtcp(session, packet)
+                    ah._handle_rtcp("mcast-group", packet)
 
         for participant in participants:
             participant.join()

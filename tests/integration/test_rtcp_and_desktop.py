@@ -34,7 +34,7 @@ class TestPeriodicRtcp:
         run_session(clock, ah, [participant], 1000, per_round=drive)
         session = ah.sessions["p1"]
         assert session.reporter.reports_sent >= 2
-        assert participant.reporter.reports_sent >= 2
+        assert participant.leg.reporter.reports_sent >= 2
 
     def test_participant_rr_reflects_loss(self, clock):
         ah = ApplicationHost(clock=clock.now)
@@ -52,7 +52,7 @@ class TestPeriodicRtcp:
         # to zero because retransmissions count as received — exactly
         # the RFC 3550 accounting an RR carries.
         assert participant.nacks_sent > 0
-        assert participant.reporter.reports_sent >= 2
+        assert participant.leg.reporter.reports_sent >= 2
 
     def test_ah_report_blocks_cover_hip_stream(self, clock):
         """The AH's SRs carry reception blocks for the inbound HIP
@@ -81,7 +81,7 @@ class TestPeriodicRtcp:
         run_session(clock, ah, [participant], 1000)
         # After the AH's first SR, the participant records its NTP stamp
         # for LSR/DLSR computation.
-        assert participant.reporter._last_sr_ntp is not None
+        assert participant.leg.reporter._last_sr_ntp is not None
 
 
 class TestDesktopSharing:

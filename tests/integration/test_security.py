@@ -143,12 +143,12 @@ class TestResourceBounds:
 
         participant = udp_pair(clock, ah)
         settle(clock, ah, [participant], 20)
-        recovery = participant.recovery
+        recovery = participant.leg.recovery
         # Simulate a long-lived recovered-seq memory and trigger the
         # prune path with a genuine gap just past the live stream.
         for seq in range(5000):
             recovery._recovered_at[seq] = -100.0
-        gaps = participant.receiver.gaps
+        gaps = participant.leg.receiver.gaps
         highest = gaps._highest
         assert highest is not None
         gaps.record((highest + 3) & 0xFFFF)  # leaves holes at +1, +2
@@ -156,4 +156,4 @@ class TestResourceBounds:
         assert participant.nacks_sent >= 1
         assert len(recovery._recovered_at) < 5000
         # Pending retry state is bounded by the gap detector's window.
-        assert recovery.pending <= participant.receiver.gaps.max_tracked
+        assert recovery.pending <= participant.leg.receiver.gaps.max_tracked

@@ -71,7 +71,7 @@ class TestObservability:
         from repro.obs import Instrumentation
 
         obs = Instrumentation()
-        ah, participant, clock = quick_session(instrumentation=obs)
+        ah, participant, clock = quick_session(obs=obs)
         sim = Simulation(ah, clock, dt=0.02)
         sim.add_participant(participant)
         sim.run(5)

@@ -20,6 +20,7 @@ from repro.sdp import build_ah_offer
 from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import PT_HIP, PT_REMOTING
 from repro.sharing.service import SharingService
+from repro.sharing.signalling import SignallingBinding
 from repro.sip.dialog import DialogState, SipEndpoint
 from repro.apps.terminal import TerminalApp
 from repro.surface.geometry import Rect
@@ -32,7 +33,10 @@ def _establish_udp(service, name):
     remote = SipEndpoint(
         f"sip:{name}@host", send=service_inbox.append, rng=random.Random(1)
     )
-    service.invite(name, remote, remote_inbox, service_inbox)
+    service.invite(
+        name, remote,
+        binding=SignallingBinding(name, remote_inbox, service_inbox),
+    )
     while remote_inbox:
         remote.receive(remote_inbox.pop(0))
     assert remote.state is DialogState.RINGING
@@ -46,7 +50,7 @@ def _establish_udp(service, name):
 def session():
     clock = SimulatedClock()
     obs = Instrumentation(clock=clock)
-    ah = ApplicationHost(clock=clock, instrumentation=obs)
+    ah = ApplicationHost(clock=clock, obs=obs)
     window = ah.windows.create_window(Rect(20, 20, 320, 240), title="log")
     terminal = TerminalApp(window)
     ah.apps.attach(terminal)
@@ -55,7 +59,7 @@ def session():
         clock,
         channel_config=ChannelConfig(delay=0.02, loss_rate=0.05, seed=3),
         rate_bps=4_000_000,
-        instrumentation=obs,
+        obs=obs,
     )
     _establish_udp(service, "alice")
     participant = service.participant_for("alice")

@@ -103,14 +103,14 @@ class TestGiveUpTracing:
         # AH ignores NACKs while the participant believes retransmission
         # is supported: retries can only exhaust into give-up → PLI.
         config = SharingConfig(retransmissions=False)
-        ah = ApplicationHost(config=config, clock=clock, instrumentation=obs)
+        ah = ApplicationHost(config=config, clock=clock, obs=obs)
         win = ah.windows.create_window(Rect(50, 50, 400, 300))
         from repro.apps.text_editor import TextEditorApp
 
         editor = TextEditorApp(win)
         ah.apps.attach(editor)
         participant = udp_pair(
-            clock, ah, seed=17, instrumentation=obs,
+            clock, ah, seed=17, obs=obs,
             ah_supports_retransmissions=True,
             reorder_wait=30.0,
         )

@@ -140,27 +140,11 @@ class TestClockShims:
         with pytest.raises(TypeError):
             as_now(None)
 
-    def test_ah_now_kwarg_deprecated_but_working(self):
-        clock = SimulatedClock()
-        with pytest.deprecated_call(match="ApplicationHost"):
-            ah = ApplicationHost(now=clock.now)
-        clock.advance(1.0)
-        assert ah._now() == pytest.approx(1.0)
-
     def test_ah_accepts_clock_object(self):
         clock = SimulatedClock()
         ah = ApplicationHost(clock=clock)
         clock.advance(0.5)
         assert ah._now() == pytest.approx(0.5)
-
-    def test_participant_now_kwarg_deprecated_but_working(self):
-        clock = SimulatedClock()
-        link = duplex_reliable(ChannelConfig(), clock.now)
-        transport = StreamTransport(link.backward, link.forward)
-        with pytest.deprecated_call(match="Participant"):
-            p = Participant("p1", transport, now=clock.now)
-        clock.advance(2.5)
-        assert p._now() == pytest.approx(2.5)
 
     def test_participant_requires_a_clock(self):
         clock = SimulatedClock()

@@ -229,7 +229,7 @@ class TestReplaceUpstream:
         upstream.send_packet(media_packet(20))
         pump(clock, relay)
         far.receive_packets()
-        assert relay.receiver.packets_received == 1
+        assert relay.leg.receiver.packets_received == 1
 
         new_far, new_relay_side = duplex_transport_pair(
             ChannelConfig(delay=0.0), clock.now
@@ -238,7 +238,7 @@ class TestReplaceUpstream:
         assert relay.failovers == 1
         assert relay.snapshot()["failovers"] == 1
         # Old stream state is gone: counters reset, cache not serving.
-        assert relay.receiver.packets_received == 0
+        assert relay.leg.receiver.packets_received == 0
         assert not relay.upstream_dead
         # The resync PLI went out the new path immediately.
         plis = [

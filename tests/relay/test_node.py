@@ -292,7 +292,7 @@ class TestGiveUp:
         assert relay.gave_up == 1
         # The hole is acknowledged: no further NACKs for it.
         relay.pump()
-        assert relay.recovery.pending == 0
+        assert relay.leg.recovery.pending == 0
 
 
 class TestRateTiers:

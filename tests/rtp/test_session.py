@@ -96,3 +96,37 @@ class TestRtpReceiver:
         assert receiver.missing_sequence_numbers() == [
             packets[3].sequence_number
         ]
+
+    def test_late_retransmission_beyond_misorder_fills_its_gap(self):
+        """Packet 5 of a 200-packet update, retransmitted once the head
+        is > MAX_MISORDER ahead: A.1 calls it invalid, but it arrived."""
+        from repro.rtp.packet import RtpPacket
+        from repro.rtp.sequence import MAX_MISORDER
+        from repro.sharing.recovery import RecoveryManager
+
+        clock = SimulatedClock()
+        receiver = RtpReceiver(now=clock.now)
+        recovery = RecoveryManager(now=clock.now)
+
+        def arrive(seq):
+            recovery.note_arrival(seq)
+            return receiver.receive(RtpPacket(99, seq, 0, 7, b"x"))
+
+        for seq in range(1000, 1200):
+            if seq != 1005:
+                arrive(seq)
+        assert receiver.missing_sequence_numbers() == [1005]
+        assert recovery.poll(receiver.missing_sequence_numbers()).nack_now == [
+            1005
+        ]
+        assert 1199 - 1005 > MAX_MISORDER
+        late = arrive(1005)
+        # The validity heuristic still gates the reception statistics…
+        assert not late.valid
+        assert receiver.packets_received == 199
+        # …but the gap is closed and nothing is asked for again.
+        assert receiver.missing_sequence_numbers() == []
+        clock.advance(5.0)
+        actions = recovery.poll(receiver.missing_sequence_numbers())
+        assert actions.nack_now == [] and actions.gave_up == []
+        assert recovery.pending == 0

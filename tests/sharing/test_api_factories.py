@@ -1,7 +1,4 @@
-"""The redesigned public surface: factories, __all__, deprecation shims."""
-
-import random
-import warnings
+"""The redesigned public surface: factories and __all__."""
 
 import pytest
 
@@ -11,7 +8,6 @@ from repro.apps.text_editor import TextEditorApp
 from repro.obs import Instrumentation
 from repro.rtp.clock import SimulatedClock
 from repro.sharing import (
-    ApplicationHost,
     Participant,
     SharingConfig,
     SharingService,
@@ -19,8 +15,6 @@ from repro.sharing import (
     host,
     join,
 )
-from repro.sharing.transport import DatagramTransport
-from repro.sip.dialog import SipEndpoint
 from repro.surface.geometry import Rect
 
 
@@ -92,61 +86,3 @@ class TestInviteShim:
         assert isinstance(binding, SignallingBinding)
         assert binding.name == "alice"
         assert service.binding_for("alice") is binding
-
-    def test_legacy_four_arg_invite_warns_and_still_works(self):
-        service = small_host()
-        to_remote, to_service = [], []
-        remote = SipEndpoint(
-            "sip:alice@remote",
-            send=to_service.append,
-            rng=random.Random(3),
-        )
-        with pytest.warns(DeprecationWarning, match="remote_inbox"):
-            service.invite("alice", remote, to_remote, to_service)
-        # The caller's own lists are the live queues.
-        assert to_remote, "INVITE should be queued in the caller's inbox"
-        binding = service.binding_for("alice")
-        assert binding.to_remote is to_remote
-        assert binding.to_service is to_service
-
-    def test_legacy_invite_requires_both_inboxes(self):
-        service = small_host()
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                service.invite("alice", None, [], None)
-
-
-class TestObsKwargShims:
-    def test_application_host_instrumentation_warns(self):
-        obs = Instrumentation()
-        with pytest.warns(DeprecationWarning, match="pass obs="):
-            ah = ApplicationHost(clock=SimulatedClock(), instrumentation=obs)
-        assert ah.obs is obs
-
-    def test_participant_instrumentation_warns(self):
-        from repro.net.channel import ChannelConfig, duplex_lossy
-
-        clock = SimulatedClock()
-        link = duplex_lossy(ChannelConfig(), clock.now)
-        obs = Instrumentation()
-        with pytest.warns(DeprecationWarning, match="pass obs="):
-            Participant(
-                "p", DatagramTransport(link.backward, link.forward),
-                clock=clock, instrumentation=obs,
-            )
-
-    def test_service_instrumentation_warns_and_obs_wins_when_both(self):
-        clock = SimulatedClock()
-        ah = ApplicationHost(clock=clock)
-        legacy, modern = Instrumentation(), Instrumentation()
-        with pytest.warns(DeprecationWarning):
-            service = SharingService(
-                ah, clock, obs=modern, instrumentation=legacy
-            )
-        assert service.obs is modern
-
-    def test_quick_session_instrumentation_warns(self):
-        obs = Instrumentation()
-        with pytest.warns(DeprecationWarning, match="quick_session"):
-            repro.quick_session(instrumentation=obs)

@@ -9,6 +9,7 @@ from repro.rtp.clock import SimulatedClock
 from repro.sdp import negotiate, parse_sdp
 from repro.sharing.ah import ApplicationHost
 from repro.sharing.service import SharingService
+from repro.sharing.signalling import SignallingBinding
 from repro.sip.dialog import DialogState, SipEndpoint
 from repro.surface.geometry import Rect
 
@@ -35,7 +36,10 @@ def make_remote(name: str, to_service: list[str]):
 
 
 def establish(service, remote, remote_inbox, service_inbox, name):
-    service.invite(name, remote, remote_inbox, service_inbox)
+    service.invite(
+        name, remote,
+        binding=SignallingBinding(name, remote_inbox, service_inbox),
+    )
     # Deliver INVITE; remote negotiates and answers.
     while remote_inbox:
         remote.receive(remote_inbox.pop(0))
@@ -100,9 +104,9 @@ class TestCallLifecycle:
         _clock, _ah, service, _w, _e = setup
         inbox: list[str] = []
         remote = make_remote("eve", inbox)
-        service.invite("eve", remote, [], inbox)
+        service.invite("eve", remote)
         with pytest.raises(ValueError):
-            service.invite("eve", remote, [], inbox)
+            service.invite("eve", remote)
 
     def test_signalling_queues_can_be_deques(self, setup):
         # pump_signalling drains with popleft when the queue offers it
@@ -113,7 +117,10 @@ class TestCallLifecycle:
         remote_inbox: list[str] = []
         service_inbox = deque()
         remote = make_remote("grace", service_inbox)
-        service.invite("grace", remote, remote_inbox, service_inbox)
+        service.invite(
+            "grace", remote,
+            binding=SignallingBinding("grace", remote_inbox, service_inbox),
+        )
         while remote_inbox:
             remote.receive(remote_inbox.pop(0))
         agreed = negotiate(parse_sdp(remote.remote_sdp))

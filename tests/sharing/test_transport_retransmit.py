@@ -10,7 +10,6 @@ from repro.rtp.packet import RtpPacket
 from repro.sharing.retransmit import RetransmitCache
 from repro.sharing.transport import (
     DatagramTransport,
-    MulticastReceiverTransport,
     MulticastSenderTransport,
     StreamTransport,
     is_rtcp,
@@ -93,8 +92,8 @@ class TestMulticastTransports:
         b_chan = group.subscribe("b")
         feedback = duplex_lossy(ChannelConfig(delay=0.01), clock.now)
         sender = MulticastSenderTransport(group)
-        recv_a = MulticastReceiverTransport(a_chan, feedback.backward)
-        recv_b = MulticastReceiverTransport(b_chan, feedback.backward)
+        recv_a = DatagramTransport(feedback.backward, a_chan)
+        recv_b = DatagramTransport(feedback.backward, b_chan)
         sender.send_packet(b"frame")
         clock.advance(0.02)
         assert recv_a.receive_packets() == [b"frame"]
@@ -105,7 +104,7 @@ class TestMulticastTransports:
         group = MulticastGroup(ChannelConfig(delay=0.01), clock.now)
         chan = group.subscribe("a")
         feedback = duplex_lossy(ChannelConfig(delay=0.01), clock.now)
-        receiver = MulticastReceiverTransport(chan, feedback.backward)
+        receiver = DatagramTransport(feedback.backward, chan)
         receiver.send_packet(b"nack")
         clock.advance(0.02)
         assert feedback.backward.receive_ready() == [b"nack"]
