@@ -13,10 +13,11 @@ Three sections:
   scalar reconstruction (reported, not gated).
 * ``pipeline`` — TileDiffer damage pass + cached re-encode of repeated
   screen frames: what a steady-state sharing session actually runs.
-* ``parallel`` — the worker-process band pipeline
-  (``repro.codecs.parallel``) vs the single-threaded vector path, with
-  byte-identity verified before timing and pool teardown asserted
-  after (leaked workers or shared memory fail the run loudly).
+* ``parallel`` — the band-thread pipeline
+  (``repro.codecs.parallel``, one band per core) vs the single-threaded
+  vector path, with byte-identity verified before timing and pool
+  teardown asserted after (a band thread that outlives ``close()``
+  fails the run loudly).
 * ``fanout``  — the same frame encoded for 1 vs 8 destinations through
   the shared cache; misses scaling with destinations is a fatal error.
 
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
+import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps.photo import synthetic_photo, ui_screenshot  # noqa: E402
 from repro.codecs.cache import EncodeCache  # noqa: E402
+from repro.codecs.png.chunks import TYPE_IDAT, iter_chunks  # noqa: E402
 from repro.codecs.png.decoder import decode_png  # noqa: E402
 from repro.codecs.png.encoder import encode_png  # noqa: E402
 from repro.codecs.png.filters import BPP, unfilter_image  # noqa: E402
@@ -103,8 +106,6 @@ def bench_encode(images: dict[str, np.ndarray], repeats: int) -> dict:
 
 
 def bench_decode(images: dict[str, np.ndarray], repeats: int) -> dict:
-    import zlib
-
     out: dict[str, dict] = {}
     for name, img in images.items():
         h, w = img.shape[:2]
@@ -180,11 +181,11 @@ def bench_pipeline(repeats: int) -> dict:
 
 
 def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
-    """Worker-pool band encode vs the single-threaded vector path.
+    """Band-thread encode vs the single-threaded vector path.
 
     Verifies the byte-identity contract before timing anything, and
-    asserts complete pool teardown after: CI fails loudly on leaked
-    worker processes or shared-memory blocks.
+    asserts complete pool teardown after: CI fails loudly on a band
+    thread that survives ``close()``.
     """
     from repro.codecs.lossy import LossyDctCodec
     from repro.codecs.parallel import (
@@ -195,9 +196,9 @@ def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
     from repro.codecs.png.encoder import filtered_scanlines
 
     cpu = os.cpu_count() or 1
-    workers = max(1, cpu - 1)
-    out: dict = {"cpu_count": cpu, "workers": workers}
-    pool = EncodePool(workers)
+    out: dict = {"cpu_count": cpu, "workers": cpu}
+    threads_before = threading.active_count()
+    pool = EncodePool(cpu)
     try:
         for name, img in images.items():
             serial = encode_png(img)
@@ -206,8 +207,10 @@ def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
                 raise SystemExit(
                     f"FATAL: parallel PNG of {name} decodes differently"
                 )
-            scan = pool.filtered_scanline_bands(img)
-            if scan is not None and scan != filtered_scanlines(img).tobytes():
+            idat = b"".join(
+                c.data for c in iter_chunks(parallel) if c.type == TYPE_IDAT
+            )
+            if zlib.decompress(idat) != filtered_scanlines(img).tobytes():
                 raise SystemExit(
                     f"FATAL: parallel scanline stream of {name} is not"
                     " byte-identical to the vector path"
@@ -230,19 +233,13 @@ def bench_parallel(images: dict[str, np.ndarray], repeats: int) -> dict:
             "serial_ms": t_ser * 1e3,
             "ratio": t_ser / t_par,
         }
-        out["fallbacks"] = pool.snapshot()["fallbacks"]
+        out["fallbacks"] = pool.fallbacks
     finally:
         pool.close()
-    after = pool.snapshot()
-    if after["workers"] != 0 or after["shm_bytes"] != 0:
-        raise SystemExit(f"FATAL: pool teardown leaked state: {after}")
-    leaked = [
-        p for p in multiprocessing.active_children()
-        if p.name.startswith("encode-worker")
-    ]
+    leaked = threading.active_count() - threads_before
     if leaked:
         raise SystemExit(
-            f"FATAL: {len(leaked)} encode worker(s) survived pool close"
+            f"FATAL: {leaked} encode band thread(s) survived pool close"
         )
     return out
 
@@ -302,9 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         "size": {"height": SIZE[0], "width": SIZE[1]},
         "gate": {
             "min_encode_ratio": 3.0,
-            # The multi-core floor applies only where multiple cores
-            # exist: band-parallel encode cannot beat the vector path
-            # on 1-2 cores (CI runners have 4).
+            # The multi-core floor is enforced from 3 cores up (CI
+            # runners have 4): on 2 cores one run reads ~1.0x or ~1.9x
+            # depending on where the scheduler puts the second band.
             "min_parallel_ratio": 2.0,
             "parallel_gate_min_cpus": 3,
         },

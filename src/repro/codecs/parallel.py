@@ -1,15 +1,17 @@
-"""Worker-process encode pool: band-sharded, shared-memory, zero-copy.
+"""Band-thread encode pool: one frame's encode spread over cores.
 
 PR 6 vectorised the capture→encode hot path but left it single-
 threaded; this module spreads it across cores the way ShAppliT's
 broker-mediated cluster sharing spreads one shared surface's encode
-work across executors.  An :class:`EncodePool` owns N worker processes
-and a set of shared-memory blocks; pixel data crosses the process
-boundary exactly zero times (workers slice ``memoryview``-backed numpy
-views of the shared blocks), and only small compressed results ride
-back over each worker's pipe.
+work across executors.  An :class:`EncodePool` owns N threads and maps
+the existing band functions over horizontal **bands** of the caller's
+own array.  Threads are enough because everything a band runs is zlib
+or whole-array numpy, both of which release the GIL, and the filter
+and cache workspaces are per-thread (``threading.local``); pixels and
+results never leave the process, so there is nothing to stage, share
+or unlink.
 
-Three pipelines shard into horizontal **bands**:
+Two pipelines shard into bands:
 
 * **PNG** — :func:`encode_png_parallel`.  Scanline filtering is band-
   composable (each row's predictors and MSAD choice reach exactly one
@@ -18,7 +20,7 @@ Three pipelines shard into horizontal **bands**:
   is byte-identical to the serial path.  Each band then deflates its
   scanlines as a *raw* deflate member (non-final bands end on a
   ``Z_SYNC_FLUSH`` byte boundary, the last band emits the final block);
-  the parent concatenates members behind one zlib header and combines
+  the caller concatenates members behind one zlib header and combines
   the per-band Adler-32 checksums (:func:`adler32_combine`), producing
   a standard single-stream zlib IDAT — the pigz construction.
 * **Lossy DCT** — :func:`encode_lossy_parallel`.  8×8 blocks never
@@ -26,29 +28,20 @@ Three pipelines shard into horizontal **bands**:
   coefficients (:func:`repro.codecs.lossy.plane_band_coefficients`)
   concatenate into byte-identical plane streams; the entropy stage
   then reuses the parallel deflate.
-* **Tile diff** — :meth:`EncodePool.diff_bands` runs
-  :func:`repro.surface.damage.band_tile_changes` on workers when both
-  framebuffer generations live in pool shared memory.
 
-Degradation is always graceful: a missing pool, a small image, or a
-crashed worker falls back to the in-process vector path (the worker is
-respawned behind the scenes, ``encode.worker_crashes`` counts it) — a
-dead worker never wedges a session, and ``workers=0`` configurations
-never construct a pool at all.  Supervision hooks:
-:meth:`EncodePool.ensure_workers` is synchronous and self-healing, and
-:meth:`EncodePool.watch` is an asyncio loop made to run under
-:class:`repro.health.TaskSupervisor`.
+A missing or closed pool, a small image, or a PNG that would get a
+single band encodes on the serial in-process path; an exception raised
+inside a band reaches the caller as it would from the serial encoder,
+and ``workers=0`` configurations never construct a pool at all.
 """
 
 from __future__ import annotations
 
-import asyncio
-import atexit
-import multiprocessing
 import os
 import struct
+import threading
 import zlib
-from multiprocessing.shared_memory import SharedMemory
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,11 +51,11 @@ from .lossy import block_band_rows, plane_band_coefficients
 from .png.encoder import assemble_png, check_encode_input, encode_png
 from .png.filters import FILTER_NONE, filter_image
 
-#: Default worker count: leave one core for the session/event loop.
-DEFAULT_WORKERS = max(1, (os.cpu_count() or 1) - 1)
+#: Default worker count: one band per core (the caller only waits).
+DEFAULT_WORKERS = os.cpu_count() or 1
 
 #: Below this many pixel rows the dispatch overhead beats the win and
-#: the pool hands straight back to the in-process path.
+#: the encoder hands straight to the in-process path.
 MIN_PARALLEL_ROWS = 128
 
 _ADLER_BASE = 65521
@@ -128,297 +121,52 @@ def deflate_band(data, level: int, final: bool) -> bytes:
     return out
 
 
-# -- Worker side --------------------------------------------------------------
-
-
-class _Attachments:
-    """A worker's bounded LRU of shared-memory attachments by name."""
-
-    MAX = 8
-
-    def __init__(self) -> None:
-        self._by_name: dict[str, SharedMemory] = {}
-
-    def get(self, name: str) -> SharedMemory:
-        shm = self._by_name.pop(name, None)
-        if shm is None:
-            shm = SharedMemory(name=name)
-            while len(self._by_name) >= self.MAX:
-                self._by_name.pop(next(iter(self._by_name))).close()
-        self._by_name[name] = shm
-        return shm
-
-    def pixels(self, name: str, offset: int, h: int, w: int) -> np.ndarray:
-        buf = self.get(name).buf
-        return np.frombuffer(
-            buf, dtype=np.uint8, count=h * w * 4, offset=offset
-        ).reshape(h, w, 4)
-
-    def close_all(self) -> None:
-        for shm in self._by_name.values():
-            shm.close()
-        self._by_name.clear()
-
-
-def _task_png_band(shms: _Attachments, args: tuple):
-    (name, offset, h, w, y0, y1, level, adaptive, fixed, final,
-     want_filtered) = args
-    rows = shms.pixels(name, offset, h, w).reshape(h, w * 4)
-    prev_row = rows[y0 - 1] if y0 else None
-    filtered = filter_image(
-        rows[y0:y1], adaptive_filter=adaptive, fixed_filter=fixed,
-        prev_row=prev_row,
+def _zlib_stream(level: int, bands: list[tuple[bytes, int, int]]) -> bytes:
+    """One zlib stream from per-band ``(member, adler32, length)`` results."""
+    adler = 1
+    for _member, band_adler, band_len in bands:
+        adler = adler32_combine(adler, band_adler, band_len)
+    return (
+        zlib_header(level)
+        + b"".join(member for member, _, _ in bands)
+        + struct.pack("!I", adler)
     )
-    if want_filtered:
-        return filtered.tobytes()
-    member = deflate_band(filtered, level, final)
-    return member, zlib.adler32(filtered), filtered.nbytes
-
-
-def _task_lossy_band(shms: _Attachments, args: tuple):
-    name, offset, h, w, y0, y1, quality = args
-    pixels = shms.pixels(name, offset, h, w)
-    return plane_band_coefficients(pixels, quality, y0, y1)
-
-
-def _task_deflate_band(shms: _Attachments, args: tuple):
-    name, offset, length, level, final = args
-    buf = shms.get(name).buf
-    data = memoryview(buf)[offset : offset + length]
-    try:
-        return deflate_band(data, level, final), zlib.adler32(data), length
-    finally:
-        data.release()
-
-
-def _task_diff_band(shms: _Attachments, args: tuple):
-    prev_name, prev_off, cur_name, cur_off, h, w, y0, y1, tile = args
-    from ..surface.damage import band_tile_changes
-
-    prev32 = shms.pixels(prev_name, prev_off, h, w).view(np.uint32)[:, :, 0]
-    cur32 = shms.pixels(cur_name, cur_off, h, w).view(np.uint32)[:, :, 0]
-    return band_tile_changes(prev32, cur32, y0, y1, tile).tobytes()
-
-
-_TASKS = {
-    "png_band": _task_png_band,
-    "lossy_band": _task_lossy_band,
-    "deflate_band": _task_deflate_band,
-    "diff_band": _task_diff_band,
-    "ping": lambda shms, args: "pong",
-}
-
-
-def _worker_main(conn) -> None:
-    """Worker loop: receive (task_id, op, args), reply (task_id, ok, payload)."""
-    shms = _Attachments()
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                return
-            if msg is None:  # shutdown sentinel
-                return
-            task_id, op, args = msg
-            try:
-                payload = _TASKS[op](shms, args)
-            except BaseException as exc:  # survive bad tasks, report them
-                conn.send((task_id, False, f"{type(exc).__name__}: {exc}"))
-                continue
-            conn.send((task_id, True, payload))
-    finally:
-        shms.close_all()
-        conn.close()
-
-
-# -- Parent side --------------------------------------------------------------
-
-
-class _Block:
-    """One parent-owned shared-memory block, with an optional array view."""
-
-    __slots__ = ("shm", "name", "nbytes", "ptr")
-
-    def __init__(self, nbytes: int) -> None:
-        self.shm = SharedMemory(create=True, size=nbytes)
-        self.name = self.shm.name
-        self.nbytes = nbytes
-        self.ptr = np.frombuffer(self.shm.buf, dtype=np.uint8).__array_interface__[
-            "data"
-        ][0]
-
-    def close(self) -> None:
-        try:
-            self.shm.close()
-        except BufferError:
-            # Live numpy views (a differ snapshot, a pool-backed
-            # framebuffer) still reference the mapping; it is released
-            # when they are collected.  The *named* object must still
-            # be unlinked now so nothing leaks past the pool.
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-class PooledFrame:
-    """An ``(h, w, 4)`` RGBA buffer living in pool shared memory."""
-
-    __slots__ = ("block", "array")
-
-    def __init__(self, block: _Block, h: int, w: int) -> None:
-        self.block = block
-        self.array = np.frombuffer(
-            block.shm.buf, dtype=np.uint8, count=h * w * 4
-        ).reshape(h, w, 4)
-
-    @property
-    def name(self) -> str:
-        return self.block.name
-
-
-class _WorkerHandle:
-    __slots__ = ("process", "conn")
-
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
-class WorkerCrash(RuntimeError):
-    """Internal: a scatter lost a worker; the caller falls back."""
 
 
 class EncodePool:
-    """N supervised worker processes sharing framebuffer memory.
+    """N band threads shared by every encoder of a session.
 
-    The pool is crash-tolerant by construction: every public entry
-    point that dispatches to workers catches a lost worker, respawns it
-    (``ensure_workers``), counts the event, and recomputes in-process —
-    callers always get a correct result.  ``close()`` (or the context
-    manager, or the ``atexit`` backstop) terminates workers and unlinks
-    every shared-memory block, so CI can assert nothing leaked.
+    Any number of callers may encode through one pool at once; each
+    blocks until its own bands are done.  ``close()`` (or the context
+    manager) joins the threads; a closed pool still encodes, in-process.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        obs=None,
-        start_method: str | None = None,
-        min_parallel_rows: int = MIN_PARALLEL_ROWS,
-        task_timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, workers: int = 0, *, obs=None) -> None:
         if workers < 1:
             workers = DEFAULT_WORKERS
         self.workers = workers
-        self.min_parallel_rows = min_parallel_rows
-        self.task_timeout = task_timeout
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        # Start the resource tracker *before* forking so every worker
-        # inherits it: attach-time registrations then collapse into the
-        # parent's tracked set (it is a set per name) and the parent's
-        # unlink clears them, instead of each worker spawning a private
-        # tracker that warns about "leaked" blocks at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        self._handles: list[_WorkerHandle | None] = [None] * workers
-        self._staging: _Block | None = None
-        self._frames: list[PooledFrame] = []
-        self._task_seq = 0
-        self._closed = False
-        self.worker_crashes = 0
         self.fallbacks = 0
+        self.closed = False
+        # Callers on different threads share the two counters.
+        self._count_lock = threading.Lock()
+        self._executor = ThreadPoolExecutor(
+            workers, thread_name_prefix="encode-band"
+        )
         obs = obs if obs is not None else NULL
-        self._obs = obs
         self._g_workers = obs.gauge("encode.workers")
-        self._g_shm = obs.gauge("encode.shm_bytes")
         self._c_bands = obs.counter("encode.bands")
-        self._c_saturated = obs.counter("encode.pool_saturated")
-        self._c_crashes = obs.counter("encode.worker_crashes")
         self._c_fallbacks = obs.counter("encode.fallbacks")
-        atexit.register(self.close)
-        self.ensure_workers()
+        self._g_workers.set(workers)
 
     # -- Lifecycle ---------------------------------------------------------
 
-    def _spawn(self, slot: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,),
-            name=f"encode-worker-{slot}", daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle = _WorkerHandle(process, parent_conn)
-        self._handles[slot] = handle
-        return handle
-
-    def ensure_workers(self) -> int:
-        """Respawn dead workers; returns the live count (self-healing)."""
-        if self._closed:
-            return 0
-        live = 0
-        for slot, handle in enumerate(self._handles):
-            if handle is None or not handle.alive:
-                if handle is not None:
-                    handle.conn.close()
-                try:
-                    self._spawn(slot)
-                except OSError:  # pragma: no cover - fork failure
-                    self._handles[slot] = None
-                    continue
-            live += 1
-        self._g_workers.set(live)
-        return live
-
-    async def watch(self, interval: float = 0.5) -> None:
-        """Supervision loop for :class:`repro.health.TaskSupervisor`."""
-        while not self._closed:
-            self.ensure_workers()
-            await asyncio.sleep(interval)
-
     def close(self) -> None:
-        """Terminate workers and unlink every shared-memory block."""
-        if self._closed:
+        """Finish running bands and join the threads."""
+        if self.closed:
             return
-        self._closed = True
-        for handle in self._handles:
-            if handle is None:
-                continue
-            try:
-                if handle.alive:
-                    handle.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for handle in self._handles:
-            if handle is None:
-                continue
-            handle.process.join(timeout=1.0)
-            if handle.alive:  # pragma: no cover - stuck worker
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            handle.conn.close()
-        self._handles = [None] * self.workers
-        for frame in self._frames:
-            frame.block.close()
-        self._frames.clear()
-        if self._staging is not None:
-            self._staging.close()
-            self._staging = None
+        self.closed = True
+        self._executor.shutdown(wait=True)
         self._g_workers.set(0)
-        self._g_shm.set(0)
-        atexit.unregister(self.close)
 
     def __enter__(self) -> "EncodePool":
         return self
@@ -426,134 +174,22 @@ class EncodePool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- Shared memory -----------------------------------------------------
-
-    def _shm_bytes(self) -> int:
-        total = sum(f.block.nbytes for f in self._frames)
-        if self._staging is not None:
-            total += self._staging.nbytes
-        return total
-
-    def alloc_frame(self, height: int, width: int) -> PooledFrame | None:
-        """A pool-resident RGBA frame; None when allocation fails."""
-        if self._closed:
-            return None
-        try:
-            block = _Block(height * width * 4)
-        except OSError:  # pragma: no cover - /dev/shm exhausted
-            return None
-        frame = PooledFrame(block, height, width)
-        self._frames.append(frame)
-        self._g_shm.set(self._shm_bytes())
-        return frame
-
-    def frame_buffer(self, width: int, height: int):
-        """A :class:`~repro.surface.framebuffer.Framebuffer` whose pixels
-        live in pool shared memory, so capture output needs no staging
-        copy; None when allocation fails."""
-        from ..surface.framebuffer import BLACK, Framebuffer
-
-        frame = self.alloc_frame(height, width)
-        if frame is None:
-            return None
-        fb = Framebuffer.__new__(Framebuffer)
-        fb._pixels = frame.array
-        fb._pixels[:, :] = BLACK
-        return fb
-
-    def locate(self, arr: np.ndarray) -> tuple[str, int] | None:
-        """(shm name, offset) when ``arr`` is a contiguous pool-resident view."""
-        if not arr.flags.c_contiguous:
-            return None
-        ptr = arr.__array_interface__["data"][0]
-        for frame in self._frames:
-            block = frame.block
-            if block.ptr <= ptr and ptr + arr.nbytes <= block.ptr + block.nbytes:
-                return block.name, ptr - block.ptr
-        if self._staging is not None:
-            block = self._staging
-            if block.ptr <= ptr and ptr + arr.nbytes <= block.ptr + block.nbytes:
-                return block.name, ptr - block.ptr
-        return None
-
-    def _stage_bytes(self, data) -> tuple[str, int]:
-        """Copy ``data`` (a buffer) into the staging block; returns its ref."""
-        view = memoryview(data).cast("B")
-        needed = view.nbytes
-        if self._staging is None or self._staging.nbytes < needed:
-            if self._staging is not None:
-                self._staging.close()
-            self._staging = _Block(max(needed, 1 << 20))
-            self._g_shm.set(self._shm_bytes())
-        self._staging.shm.buf[:needed] = view
-        return self._staging.name, 0
-
-    def _stage_pixels(self, pixels: np.ndarray) -> tuple[str, int]:
-        """Reference pool-resident pixels, else copy them into staging."""
-        located = self.locate(pixels)
-        if located is not None:
-            return located
-        return self._stage_bytes(np.ascontiguousarray(pixels))
-
     # -- Dispatch ----------------------------------------------------------
 
-    def _scatter(self, tasks: list[tuple[str, tuple]]) -> list | None:
-        """Run tasks across workers; results in task order, None on loss.
+    def _map(self, band, spans: list[tuple[int, int]]) -> list:
+        """``band(start, end)`` per span on the threads, in span order.
 
-        Tasks are tagged with unique ids so stale replies left over from
-        a previously failed batch are drained and discarded instead of
-        desynchronising the protocol.
+        The first band to raise re-raises here; bands not yet started
+        are cancelled.
         """
-        if self._closed or not tasks:
-            return None
-        live = [h for h in self._handles if h is not None and h.alive]
-        if not live:
-            if self.ensure_workers() == 0:
-                return None
-            live = [h for h in self._handles if h is not None and h.alive]
-        if len(tasks) >= len(live):
-            self._c_saturated.inc()
-        self._c_bands.inc(len(tasks))
-        assigned: list[tuple[_WorkerHandle, int]] = []
-        try:
-            for index, (op, args) in enumerate(tasks):
-                handle = live[index % len(live)]
-                self._task_seq += 1
-                handle.conn.send((self._task_seq, op, args))
-                assigned.append((handle, self._task_seq))
-            results: list = [None] * len(tasks)
-            for index, (handle, task_id) in enumerate(assigned):
-                while True:
-                    if not handle.conn.poll(self.task_timeout):
-                        raise WorkerCrash("worker timed out")
-                    got_id, ok, payload = handle.conn.recv()
-                    if got_id != task_id:
-                        continue  # stale reply from an abandoned batch
-                    if not ok:
-                        raise WorkerCrash(payload)
-                    results[index] = payload
-                    break
-            return results
-        except (WorkerCrash, BrokenPipeError, EOFError, OSError) as exc:
-            self.worker_crashes += 1
-            self._c_crashes.inc()
-            if self._obs.enabled:
-                self._obs.event(
-                    "encode.worker_lost", error=type(exc).__name__,
-                )
-            for handle, _ in assigned:
-                if not handle.alive:
-                    handle.process.join(timeout=0.1)
-            self.ensure_workers()
-            return None
+        with self._count_lock:
+            self._c_bands.inc(len(spans))
+        return list(self._executor.map(lambda span: band(*span), spans))
 
     def _fallback(self) -> None:
-        self.fallbacks += 1
-        self._c_fallbacks.inc()
+        with self._count_lock:
+            self.fallbacks += 1
+            self._c_fallbacks.inc()
 
     # -- Band pipelines ----------------------------------------------------
 
@@ -570,145 +206,69 @@ class EncodePool:
         fixed_filter: int = FILTER_NONE,
         bands: int | None = None,
     ) -> bytes | None:
-        """The zlib IDAT stream via band workers; None → caller falls back."""
-        height, _width = pixels.shape[:2]
+        """The zlib IDAT stream via band threads; None → caller falls back."""
+        height, width = pixels.shape[:2]
         n_bands = self.band_count(height, bands)
         if n_bands < 2 and bands is None:
             return None
-        name, offset = self._stage_pixels(pixels)
-        h, w = pixels.shape[:2]
-        spans = row_bands(height, n_bands)
-        tasks = [
-            ("png_band",
-             (name, offset, h, w, y0, y1, compression_level,
-              adaptive_filter, fixed_filter, y1 == height, False))
-            for y0, y1 in spans
-        ]
-        results = self._scatter(tasks)
-        if results is None:
-            return None
-        members = []
-        adler = 1
-        for member, band_adler, band_len in results:
-            members.append(member)
-            adler = adler32_combine(adler, band_adler, band_len)
-        return (
-            zlib_header(compression_level)
-            + b"".join(members)
-            + struct.pack("!I", adler)
+        rows = np.ascontiguousarray(pixels).reshape(height, width * 4)
+
+        def band(y0: int, y1: int) -> tuple[bytes, int, int]:
+            filtered = filter_image(
+                rows[y0:y1], adaptive_filter=adaptive_filter,
+                fixed_filter=fixed_filter,
+                prev_row=rows[y0 - 1] if y0 else None,
+            )
+            member = deflate_band(filtered, compression_level, y1 == height)
+            return member, zlib.adler32(filtered), filtered.nbytes
+
+        return _zlib_stream(
+            compression_level, self._map(band, row_bands(height, n_bands))
         )
-
-    def filtered_scanline_bands(
-        self,
-        pixels: np.ndarray,
-        *,
-        adaptive_filter: bool = True,
-        fixed_filter: int = FILTER_NONE,
-        bands: int | None = None,
-    ) -> bytes | None:
-        """The raw filtered scanline stream, reassembled from workers.
-
-        Test/verification surface: must be byte-identical to
-        :func:`repro.codecs.png.encoder.filtered_scanlines`.
-        """
-        height, _width = pixels.shape[:2]
-        n_bands = self.band_count(height, bands)
-        name, offset = self._stage_pixels(pixels)
-        h, w = pixels.shape[:2]
-        tasks = [
-            ("png_band",
-             (name, offset, h, w, y0, y1, 0, adaptive_filter, fixed_filter,
-              y1 == height, True))
-            for y0, y1 in row_bands(height, n_bands)
-        ]
-        results = self._scatter(tasks)
-        if results is None:
-            return None
-        return b"".join(results)
 
     def lossy_plane_bands(
         self, pixels: np.ndarray, quality: int, bands: int | None = None
-    ) -> list[bytes] | None:
-        """Per-channel quantised plane streams via band workers."""
+    ) -> list[bytes]:
+        """Per-channel quantised plane streams via band threads."""
         height = pixels.shape[0]
-        n_bands = self.band_count(height, bands)
-        name, offset = self._stage_pixels(pixels)
-        h, w = pixels.shape[:2]
-        tasks = [
-            ("lossy_band", (name, offset, h, w, y0, y1, quality))
-            for y0, y1 in block_band_rows(height, n_bands)
-        ]
-        results = self._scatter(tasks)
-        if results is None:
-            return None
+        results = self._map(
+            lambda y0, y1: plane_band_coefficients(pixels, quality, y0, y1),
+            block_band_rows(height, self.band_count(height, bands)),
+        )
         return [
             b"".join(band[channel] for band in results) for channel in range(3)
         ]
 
     def deflate_bands(
         self, data: bytes, level: int = 6, bands: int | None = None
-    ) -> bytes | None:
-        """One zlib stream of ``data``, deflated across workers."""
-        if not data:
-            return None
-        name, offset = self._stage_bytes(data)
-        n_bands = self.band_count(len(data), bands)
-        spans = row_bands(len(data), n_bands)
-        tasks = [
-            ("deflate_band",
-             (name, offset + start, end - start, level, end == len(data)))
-            for start, end in spans
-        ]
-        results = self._scatter(tasks)
-        if results is None:
-            return None
-        adler = 1
-        members = []
-        for member, band_adler, band_len in results:
-            members.append(member)
-            adler = adler32_combine(adler, band_adler, band_len)
-        return zlib_header(level) + b"".join(members) + struct.pack("!I", adler)
+    ) -> bytes:
+        """One zlib stream of ``data``, deflated across band threads."""
+        view = memoryview(data)
+        size = len(data)
 
-    def diff_bands(
-        self,
-        prev: np.ndarray,
-        current: np.ndarray,
-        spans: list[tuple[int, int]],
-        tile: int,
-    ) -> list[np.ndarray] | None:
-        """Changed-tile coords per band; None unless both frames are
-        pool-resident (staging a full copy would defeat the point)."""
-        prev_ref = self.locate(prev)
-        cur_ref = self.locate(current)
-        if prev_ref is None or cur_ref is None or len(spans) < 2:
-            return None
-        h, w = prev.shape[:2]
-        tasks = [
-            ("diff_band",
-             (prev_ref[0], prev_ref[1], cur_ref[0], cur_ref[1], h, w,
-              y0, y1, tile))
-            for y0, y1 in spans
-        ]
-        results = self._scatter(tasks)
-        if results is None:
-            return None
-        return [
-            np.frombuffer(raw, dtype=np.int64).reshape(-1, 2)
-            for raw in results
-        ]
+        def band(start: int, end: int) -> tuple[bytes, int, int]:
+            chunk = view[start:end]
+            return (
+                deflate_band(chunk, level, end == size),
+                zlib.adler32(chunk),
+                end - start,
+            )
 
-    def snapshot(self) -> dict:
-        return {
-            "workers": sum(
-                1 for h in self._handles if h is not None and h.alive
-            ),
-            "worker_crashes": self.worker_crashes,
-            "fallbacks": self.fallbacks,
-            "shm_bytes": self._shm_bytes(),
-        }
+        return _zlib_stream(
+            level, self._map(band, row_bands(size, self.band_count(size, bands)))
+        )
 
 
 # -- Codec-level entry points -------------------------------------------------
+
+
+def _use_pool(pool: EncodePool | None, height: int, bands: int | None) -> bool:
+    """Whether an image of ``height`` rows goes to the band threads."""
+    return (
+        pool is not None
+        and not pool.closed
+        and (height >= MIN_PARALLEL_ROWS or bands is not None)
+    )
 
 
 def encode_png_parallel(
@@ -730,23 +290,16 @@ def encode_png_parallel(
     pixels.
     """
     height, width = check_encode_input(pixels)
-    if (
-        pool is None
-        or pool.closed
-        or (height < pool.min_parallel_rows and bands is None)
-    ):
-        return encode_png(
+    compressed = None
+    if _use_pool(pool, height, bands):
+        compressed = pool.png_bands(
             pixels, compression_level=compression_level,
             adaptive_filter=adaptive_filter, fixed_filter=fixed_filter,
-            idat_chunk_size=idat_chunk_size,
+            bands=bands,
         )
-    compressed = pool.png_bands(
-        pixels, compression_level=compression_level,
-        adaptive_filter=adaptive_filter, fixed_filter=fixed_filter,
-        bands=bands,
-    )
+        if compressed is None:
+            pool._fallback()
     if compressed is None:
-        pool._fallback()
         return encode_png(
             pixels, compression_level=compression_level,
             adaptive_filter=adaptive_filter, fixed_filter=fixed_filter,
@@ -767,18 +320,10 @@ def encode_lossy_parallel(
     The quantised plane streams (the pre-entropy bytes) are identical
     to the serial encoder's; only the zlib member framing differs.
     """
-    height = pixels.shape[0]
-    if (
-        pool is None
-        or pool.closed
-        or (height < pool.min_parallel_rows and bands is None)
-    ):
+    lossy_mod._check_pixels(pixels)
+    height, width = pixels.shape[:2]
+    if not _use_pool(pool, height, bands):
         return lossy_mod.LossyDctCodec(quality).encode(pixels)
     planes = pool.lossy_plane_bands(pixels, quality, bands=bands)
-    if planes is not None:
-        body = pool.deflate_bands(b"".join(planes), level=6, bands=bands)
-        if body is not None:
-            h, w = pixels.shape[:2]
-            return lossy_mod._HEADER.pack(w, h, quality) + body
-    pool._fallback()
-    return lossy_mod.LossyDctCodec(quality).encode(pixels)
+    body = pool.deflate_bands(b"".join(planes), level=6, bands=bands)
+    return lossy_mod._HEADER.pack(width, height, quality) + body

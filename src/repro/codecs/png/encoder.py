@@ -81,7 +81,7 @@ def encode_png(
     buffer that zlib compresses in place — no per-row temporaries, no
     ``bytes()`` copy of the filtered image.  The scalar reference path
     lives in :func:`repro.codecs.png.reference.encode_png_scalar` and
-    produces byte-identical output; the multi-process band path lives
+    produces byte-identical output; the multi-thread band path lives
     in :func:`repro.codecs.parallel.encode_png_parallel` and produces a
     byte-identical *scanline stream* (the deflate framing differs).
     """

@@ -2,7 +2,7 @@
 
 One :class:`Instrumentation` object per session: named counters,
 gauges and histograms in a :class:`MetricsRegistry`, structured trace
-events in a :class:`~repro.stats.trace.SessionTrace`, one
+events in a :class:`~repro.obs.trace.SessionTrace`, one
 JSON-serialisable :meth:`Instrumentation.snapshot`.  Inject it at
 ``ApplicationHost`` / ``Participant`` construction; every layer below
 (scheduler, encoder, jitter buffer, RTP, RTCP, rate control, channels)
@@ -23,24 +23,31 @@ from .instrumentation import (
     Instrumentation,
     NullInstrumentation,
 )
+from .metrics import ByteCounter, LatencyRecorder, TrafficStats
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, render_name
 from .spans import ABANDON_REASONS, NULL_SPANS, STAGES, SpanTracker, UpdateSpan
+from .trace import SessionTrace, TraceEvent
 
 __all__ = [
     "ABANDON_REASONS",
+    "ByteCounter",
     "Counter",
     "DEFAULT_SENTINELS",
     "FlightRecorder",
     "Gauge",
     "Histogram",
     "Instrumentation",
+    "LatencyRecorder",
     "MESSAGE_CLASSES",
     "MetricsRegistry",
     "NULL",
     "NULL_SPANS",
     "NullInstrumentation",
     "STAGES",
+    "SessionTrace",
     "SpanTracker",
+    "TraceEvent",
+    "TrafficStats",
     "UpdateSpan",
     "as_now",
     "chrome_trace",

@@ -53,7 +53,7 @@ class FlightRecorder:
     # -- Ingest ------------------------------------------------------------
 
     def observe(self, event) -> None:
-        """Feed one :class:`~repro.stats.trace.TraceEvent`."""
+        """Feed one :class:`~repro.obs.trace.TraceEvent`."""
         peer = str(event.attrs.get("peer", SESSION_RING))
         ring = self._rings.get(peer)
         if ring is None:

@@ -7,7 +7,7 @@ down the stack — update scheduler, frame encoder, retransmit path,
 jitter buffer, RTP send/receive, RTCP reporting, token-bucket rate
 control and the simulated channels all register their metrics against
 the same :class:`~repro.obs.registry.MetricsRegistry` and append
-structured events to the same :class:`~repro.stats.trace.SessionTrace`.
+structured events to the same :class:`~repro.obs.trace.SessionTrace`.
 
 Design rules:
 
@@ -22,21 +22,21 @@ Design rules:
   by hand.
 
 The legacy measurement classes remain as thin adapters:
-:meth:`traffic_stats` returns a :class:`~repro.stats.metrics.TrafficStats`
-whose per-class :class:`~repro.stats.metrics.ByteCounter` fields also
+:meth:`traffic_stats` returns a :class:`~repro.obs.metrics.TrafficStats`
+whose per-class :class:`~repro.obs.metrics.ByteCounter` fields also
 feed registry counters, and :meth:`latency_recorder` returns a
-registry histogram that *is* a :class:`~repro.stats.metrics.LatencyRecorder`.
+registry histogram that *is* a :class:`~repro.obs.metrics.LatencyRecorder`.
 """
 
 from __future__ import annotations
 
 import json
 
-from ..stats.metrics import ByteCounter, LatencyRecorder, TrafficStats
-from ..stats.trace import SessionTrace
 from .clockutil import as_now
 from .flight import FlightRecorder
+from .metrics import ByteCounter, LatencyRecorder, TrafficStats
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .trace import SessionTrace
 
 #: TrafficStats fields, which double as the ``class=`` label values.
 MESSAGE_CLASSES = (

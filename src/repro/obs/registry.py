@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..stats.metrics import LatencyRecorder
+from .metrics import LatencyRecorder
 
 #: Sorted ``(key, value)`` pairs — the canonical label encoding.
 Labels = tuple[tuple[str, object], ...]

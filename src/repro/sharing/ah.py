@@ -84,10 +84,10 @@ class ApplicationHost:
             if self.config.encode_cache_entries
             else None
         )
-        #: One worker-process encode pool for the whole session (opt-in
+        #: One band-thread encode pool for the whole session (opt-in
         #: via ``encode_workers``); shared by every per-destination
-        #: encoder like the cache.  Owned here: :meth:`close` tears it
-        #: down, and the hosting layer supervises its ``watch()`` loop.
+        #: encoder like the cache.  Owned here: :meth:`close` joins its
+        #: threads.
         self.encode_pool = None
         if self.config.encode_workers:
             from ..codecs.parallel import EncodePool
@@ -316,7 +316,7 @@ class ApplicationHost:
     # -- Lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release host-owned process resources (the encode pool)."""
+        """Release host-owned resources (the encode pool's threads)."""
         if self.encode_pool is not None:
             self.encode_pool.close()
 

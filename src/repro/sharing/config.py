@@ -65,13 +65,12 @@ class SharingConfig:
     #: (identical update pixel blocks reuse one encode across all
     #: destinations; docs/PERFORMANCE.md).  0 disables caching.
     encode_cache_entries: int = 256
-    #: Worker processes for the parallel encode pool
-    #: (:class:`repro.codecs.parallel.EncodePool`).  0 keeps every
-    #: encode in-process (the default — pools are opt-in); -1 sizes the
-    #: pool to the machine (cpu_count - 1).
+    #: Band threads for the parallel encode pool
+    #: (:class:`repro.codecs.parallel.EncodePool`); a large update is
+    #: split into one band per thread.  0 keeps every encode on the
+    #: caller's thread (the default — pools are opt-in); -1 sizes the
+    #: pool to the machine (one thread per core).
     encode_workers: int = 0
-    #: Bands per parallel-encoded update.  0 means one band per worker.
-    encode_bands: int = 0
 
     def __post_init__(self) -> None:
         if self.max_rtp_payload < 64:
@@ -94,5 +93,3 @@ class SharingConfig:
             raise ValueError("encode cache size cannot be negative")
         if self.encode_workers < -1:
             raise ValueError("encode workers must be >= -1")
-        if self.encode_bands < 0:
-            raise ValueError("encode bands cannot be negative")

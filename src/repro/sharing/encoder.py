@@ -68,7 +68,6 @@ class FrameEncoder:
         #: Session-wide :class:`repro.codecs.parallel.EncodePool`
         #: (shared like the cache); None keeps encodes in-process.
         self.pool = pool
-        self._bands = config.encode_bands or None
         # The cache key must cover everything that changes encoded
         # bytes: codec choice inputs and the codecs' own parameters.
         # It is identical for every destination of a session, so the
@@ -198,7 +197,7 @@ class FrameEncoder:
         config), so identical blocks — repeated damage, or the same
         update fanned out to every destination — reuse one encode.
         Returns ``(payload_type, data, parallel)`` where ``parallel``
-        records whether the worker pool carried the encode.
+        records whether the encode pool carried the encode.
         """
         cache = self.cache
         if cache is None:
@@ -216,19 +215,20 @@ class FrameEncoder:
         return codec.payload_type, data, parallel
 
     def _codec_encode(self, codec, pixels: np.ndarray) -> tuple[bytes, bool]:
-        """Encode via the worker pool when one is attached and the
-        codec has a band-parallel form; otherwise in-process."""
+        """Encode via the band-thread pool when one is attached and
+        the codec has a band-parallel form; otherwise in-process."""
         pool = self.pool
         if pool is not None and not pool.closed:
             from ..codecs.lossy import LossyDctCodec
             from ..codecs.parallel import (
+                MIN_PARALLEL_ROWS,
                 encode_lossy_parallel,
                 encode_png_parallel,
             )
             from ..codecs.png import PngCodec
 
             if type(codec) is PngCodec:
-                if pixels.shape[0] >= pool.min_parallel_rows:
+                if pixels.shape[0] >= MIN_PARALLEL_ROWS:
                     return (
                         encode_png_parallel(
                             pixels,
@@ -236,18 +236,14 @@ class FrameEncoder:
                             compression_level=codec.compression_level,
                             adaptive_filter=codec.adaptive_filter,
                             fixed_filter=codec.fixed_filter,
-                            bands=self._bands,
                         ),
                         True,
                     )
             elif type(codec) is LossyDctCodec:
-                if pixels.shape[0] >= pool.min_parallel_rows:
+                if pixels.shape[0] >= MIN_PARALLEL_ROWS:
                     return (
                         encode_lossy_parallel(
-                            pixels,
-                            pool,
-                            quality=codec.quality,
-                            bands=self._bands,
+                            pixels, pool, quality=codec.quality
                         ),
                         True,
                     )

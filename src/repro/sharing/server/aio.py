@@ -62,3 +62,6 @@ class CooperativeTransport(PacketTransport):
     def closed(self) -> bool:
         # Deliver buffered packets before reporting the close.
         return self.inner.closed and not self._pending
+
+    def close(self) -> None:
+        self.inner.close()

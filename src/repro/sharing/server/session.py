@@ -142,11 +142,6 @@ class HostedSession:
             (f"{name}-signalling", self._signalling_pump),
             (f"{name}-media", lambda: self._media_pump(realtime)),
         ]
-        if self.ah.encode_pool is not None:
-            # The pool self-heals on use, but the watch loop respawns
-            # crashed workers during idle gaps too; it rides the same
-            # supervision as the pumps.
-            pumps.append((f"{name}-encode-pool", self._pool_watch))
         if self.supervisor is not None:
             give_up = lambda exc: self.close(  # noqa: E731
                 reason="supervisor_give_up"
@@ -194,12 +189,6 @@ class HostedSession:
             else:
                 await asyncio.sleep(0)
 
-    async def _pool_watch(self) -> None:
-        pool = self.ah.encode_pool
-        while self.state is SessionState.OPEN and not pool.closed:
-            pool.ensure_workers()
-            await asyncio.sleep(0.5)
-
     def _maybe_close_when_empty(self) -> None:
         if (
             self.close_when_empty
@@ -232,7 +221,7 @@ class HostedSession:
             except Exception:
                 pass
         self.peers.clear()
-        self.ah.close()  # terminates the encode pool's workers + shm
+        self.ah.close()  # joins the encode pool's threads
         self.state = SessionState.CLOSED
         if self.obs.enabled:
             self.obs.event("server.session_closed", reason=reason)

@@ -199,3 +199,6 @@ class TcpSocketTransport(PacketTransport):
     @property
     def closed(self) -> bool:
         return self.connection.closed
+
+    def close(self) -> None:
+        self.connection.close()

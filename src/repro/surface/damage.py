@@ -8,14 +8,6 @@ diffing successive captures.  :class:`TileDiffer` does this with a fixed
 grid: each tile is compared wholesale (a vectorised numpy comparison)
 and changed tiles are merged into a compact :class:`Region`.
 
-The comparison is band-partitionable: :func:`band_spans` splits the
-tile grid into horizontal bands on tile boundaries and
-:func:`band_tile_changes` computes one band's changed tiles
-independently, so bands can run on worker processes
-(:class:`repro.codecs.parallel.EncodePool`) against shared-memory
-framebuffers.  Any band partition produces exactly the whole-image
-result.
-
 Tile size trades detection granularity against comparison overhead; the
 ablation benchmark ``bench_damage.py`` sweeps it.
 """
@@ -31,93 +23,21 @@ from .region import Region
 DEFAULT_TILE = 32
 
 
-def band_spans(height: int, tile: int, bands: int) -> list[tuple[int, int]]:
-    """Split ``height`` pixel rows into ≤ ``bands`` tile-aligned spans."""
-    if bands < 1:
-        raise ValueError("band count must be positive")
-    tile_rows = -(-height // tile)
-    bands = min(bands, tile_rows)
-    per_band = -(-tile_rows // bands)
-    spans = []
-    for start in range(0, tile_rows, per_band):
-        y0 = start * tile
-        y1 = min((start + per_band) * tile, height)
-        spans.append((y0, y1))
-    return spans
-
-
-def band_tile_changes(
-    prev32: np.ndarray, cur32: np.ndarray, y0: int, y1: int, tile: int
-) -> np.ndarray:
-    """Changed-tile ``(ty, tx)`` coordinates for pixel rows ``[y0, y1)``.
-
-    ``prev32``/``cur32`` are the whole-image ``(h, w) uint32`` pixel
-    views (one RGBA pixel per lane — a single 32-bit compare per pixel
-    beats a byte compare + channel reduction by ~60x).  ``y0`` must be
-    tile-aligned; the returned tile rows are in whole-image tile
-    coordinates, so per-band results concatenate directly.
-    """
-    neq = cur32[y0:y1] != prev32[y0:y1]
-    if not neq.any():
-        return np.empty((0, 2), dtype=np.int64)
-    height, width = neq.shape
-    tiles_y = -(-height // tile)
-    tiles_x = -(-width // tile)
-    if height % tile or width % tile:
-        padded = np.zeros((tiles_y * tile, tiles_x * tile), dtype=bool)
-        padded[:height, :width] = neq
-        neq = padded
-    tile_changed = neq.reshape(tiles_y, tile, tiles_x, tile).any(axis=(1, 3))
-    coords = np.argwhere(tile_changed)
-    coords[:, 0] += y0 // tile
-    return coords
-
-
 class TileDiffer:
-    """Detects changed regions between consecutive frames of one surface.
+    """Detects changed regions between consecutive frames of one surface."""
 
-    ``bands`` partitions the compare into tile-aligned horizontal
-    bands; with ``pool`` (an :class:`repro.codecs.parallel.EncodePool`)
-    the bands run on worker processes when both the reference snapshot
-    and the incoming frame live in the pool's shared memory.  Either
-    knob leaves the reported damage bit-identical to the default
-    whole-image pass.
-    """
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        tile: int = DEFAULT_TILE,
-        bands: int = 1,
-        pool=None,
-    ):
+    def __init__(self, width: int, height: int, tile: int = DEFAULT_TILE):
         if tile <= 0:
             raise ValueError("tile size must be positive")
         if width <= 0 or height <= 0:
             raise ValueError("surface must be non-empty")
-        if bands < 1:
-            raise ValueError("band count must be positive")
         self.tile = tile
-        self.bands = bands
-        self.pool = pool
         self.bounds = Rect(0, 0, width, height)
         self._previous: np.ndarray | None = None
 
     def reset(self) -> None:
         """Forget the reference frame; next diff reports full damage."""
         self._previous = None
-
-    def _alloc_previous(self, current: np.ndarray) -> np.ndarray:
-        """Reference snapshot storage: pool shared memory when available."""
-        if self.pool is not None:
-            frame = self.pool.alloc_frame(
-                self.bounds.height, self.bounds.width
-            )
-            if frame is not None:
-                np.copyto(frame.array, current)
-                return frame.array
-        return np.array(current, copy=True)
 
     def diff(self, frame: Framebuffer) -> Region:
         """Damage of ``frame`` relative to the previously seen frame.
@@ -126,7 +46,7 @@ class TileDiffer:
         whole surface as damaged — exactly the "full screen update"
         semantics of a PLI response.
 
-        All tiles are compared in one whole-array pass per band; the
+        All tiles are compared in one whole-array pass; the
         reference snapshot is refreshed by copying only the changed
         tiles — an unchanged frame costs one comparison and zero copies.
         """
@@ -137,7 +57,7 @@ class TileDiffer:
             )
         current = frame.array
         if self._previous is None:
-            self._previous = self._alloc_previous(current)
+            self._previous = np.array(current, copy=True)
             return Region.from_rect(self.bounds)
 
         prev = self._previous
@@ -145,28 +65,21 @@ class TileDiffer:
             current = np.ascontiguousarray(current)
         tile = self.tile
         height, width = self.bounds.height, self.bounds.width
-        spans = band_spans(height, tile, self.bands)
-
-        coord_arrays = None
-        if self.pool is not None:
-            coord_arrays = self.pool.diff_bands(prev, current, spans, tile)
-        if coord_arrays is None:
-            prev32 = prev.view(np.uint32)[:, :, 0]
-            cur32 = current.view(np.uint32)[:, :, 0]
-            coord_arrays = [
-                band_tile_changes(prev32, cur32, y0, y1, tile)
-                for y0, y1 in spans
-            ]
-        coords = (
-            np.concatenate(coord_arrays)
-            if len(coord_arrays) > 1
-            else coord_arrays[0]
-        )
-        if coords.shape[0] == 0:
+        # One RGBA pixel per uint32 lane: a single 32-bit compare per
+        # pixel beats a byte compare + channel reduction by ~60x.
+        neq = current.view(np.uint32)[:, :, 0] != prev.view(np.uint32)[:, :, 0]
+        if not neq.any():
             return Region.empty()
-
-        tiles_total = (-(-height // tile)) * (-(-width // tile))
-        if coords.shape[0] == tiles_total:
+        tiles_y = -(-height // tile)
+        tiles_x = -(-width // tile)
+        if height % tile or width % tile:
+            padded = np.zeros((tiles_y * tile, tiles_x * tile), dtype=bool)
+            padded[:height, :width] = neq
+            neq = padded
+        coords = np.argwhere(
+            neq.reshape(tiles_y, tile, tiles_x, tile).any(axis=(1, 3))
+        )
+        if coords.shape[0] == tiles_y * tiles_x:
             np.copyto(prev, current)
             return Region.from_rect(self.bounds)
         changed: list[Rect] = []

@@ -1,9 +1,9 @@
-"""Parallel encode pool: byte-identity, crash tolerance, teardown."""
+"""Parallel encode pool: byte-identity, band errors, thread teardown."""
 
 from __future__ import annotations
 
-import glob
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codecs.lossy import LossyDctCodec, block_band_rows, plane_band_coefficients
+from repro.codecs import parallel
 from repro.codecs.parallel import (
     EncodePool,
     adler32_combine,
@@ -21,10 +22,10 @@ from repro.codecs.parallel import (
     row_bands,
     zlib_header,
 )
+from repro.codecs.png.chunks import TYPE_IDAT, iter_chunks
 from repro.codecs.png.decoder import decode_png
 from repro.codecs.png.encoder import encode_png, filtered_scanlines
 from repro.obs.instrumentation import Instrumentation
-from repro.surface.damage import TileDiffer, band_spans, band_tile_changes
 
 
 def _pixels(seed: int, h: int, w: int) -> np.ndarray:
@@ -33,9 +34,15 @@ def _pixels(seed: int, h: int, w: int) -> np.ndarray:
     )
 
 
+def _scanline_stream(png: bytes) -> bytes:
+    """The filtered scanlines a PNG carries: its IDAT chunks, inflated."""
+    idat = b"".join(c.data for c in iter_chunks(png) if c.type == TYPE_IDAT)
+    return zlib.decompress(idat)
+
+
 @pytest.fixture(scope="module")
 def pool():
-    with EncodePool(2, task_timeout=60.0) as p:
+    with EncodePool(2) as p:
         yield p
 
 
@@ -99,20 +106,20 @@ class TestPngByteIdentity:
     )
     def test_scanline_stream_identical(self, pool, h, w, bands, seed):
         px = _pixels(seed, h, w)
-        parallel = pool.filtered_scanline_bands(px, bands=bands)
-        assert parallel == filtered_scanlines(px).tobytes()
+        out = encode_png_parallel(px, pool, bands=bands)
+        assert _scanline_stream(out) == filtered_scanlines(px).tobytes()
 
     def test_scanline_stream_identical_fixed_filter(self, pool):
         from repro.codecs.png.filters import FILTER_PAETH
 
         px = _pixels(7, 33, 17)
-        parallel = pool.filtered_scanline_bands(
-            px, adaptive_filter=False, fixed_filter=FILTER_PAETH, bands=3
+        out = encode_png_parallel(
+            px, pool, adaptive_filter=False, fixed_filter=FILTER_PAETH, bands=3
         )
         serial = filtered_scanlines(
             px, adaptive_filter=False, fixed_filter=FILTER_PAETH
         )
-        assert parallel == serial.tobytes()
+        assert _scanline_stream(out) == serial.tobytes()
 
     @settings(
         max_examples=15, deadline=None,
@@ -170,53 +177,16 @@ class TestLossyByteIdentity:
         ).encode(px)
 
 
-class TestDiffBands:
-    def test_band_partition_matches_whole_image(self):
-        rng = np.random.default_rng(9)
-        prev = rng.integers(0, 256, (100, 70, 4), dtype=np.uint8)
-        cur = prev.copy()
-        cur[5:9, 60:64] ^= 0xFF
-        cur[95:100, 0:3] ^= 0xFF
-        prev32 = prev.view(np.uint32)[:, :, 0]
-        cur32 = cur.view(np.uint32)[:, :, 0]
-        whole = band_tile_changes(prev32, cur32, 0, 100, 16)
-        for bands in (2, 3, 7):
-            spans = band_spans(100, 16, bands)
-            parts = [
-                band_tile_changes(prev32, cur32, y0, y1, 16)
-                for y0, y1 in spans
-            ]
-            assert np.array_equal(np.concatenate(parts), whole)
-
-    def test_pooled_differ_matches_plain(self, pool):
-        rng = np.random.default_rng(10)
-        plain = TileDiffer(64, 64, tile=16)
-        pooled = TileDiffer(64, 64, tile=16, bands=3, pool=pool)
-        fb = pool.frame_buffer(64, 64)
-        assert fb is not None
-        for step in range(4):
-            fb.array[:] = 0
-            fb.array[step * 10 : step * 10 + 8, :, 1] = 200 + step
-            a = plain.diff(fb.copy())
-            b = pooled.diff(fb)
-            assert a.rects == b.rects
-
-
 class TestPoolLifecycle:
-    def test_close_is_idempotent_and_unlinks_shm(self):
+    def test_close_is_idempotent_and_joins_threads(self):
+        baseline = threading.active_count()
         pool = EncodePool(2)
-        px = _pixels(11, 130, 20)
-        encode_png_parallel(px, pool, bands=2)
-        names = [f.block.shm._name for f in pool._frames]
-        if pool._staging is not None:
-            names.append(pool._staging.shm._name)
+        encode_png_parallel(_pixels(11, 130, 20), pool, bands=2)
+        assert threading.active_count() > baseline
         pool.close()
         pool.close()
-        assert pool.snapshot() == {
-            "workers": 0, "worker_crashes": 0, "fallbacks": 0, "shm_bytes": 0,
-        }
-        for name in names:
-            assert not glob.glob(f"/dev/shm{name}")
+        assert pool.closed
+        assert threading.active_count() == baseline
 
     def test_closed_pool_still_encodes_in_process(self):
         pool = EncodePool(1)
@@ -224,18 +194,27 @@ class TestPoolLifecycle:
         px = _pixels(12, 16, 16)
         assert encode_png_parallel(px, pool) == encode_png(px)
 
-    def test_crashed_worker_recovers(self):
+    def test_band_exception_reaches_caller_and_pool_stays_usable(
+        self, monkeypatch
+    ):
+        px = _pixels(13, 200, 30)
+        real = parallel.deflate_band
+
+        def failing_last_band(data, level, final):
+            if final:
+                raise zlib.error("band failed")
+            return real(data, level, final)
+
         with EncodePool(2) as pool:
-            px = _pixels(13, 200, 30)
-            first = encode_png_parallel(px, pool, bands=2)
-            for handle in pool._handles:
-                handle.process.kill()
-                handle.process.join()
-            # Every worker is gone: the dispatch notices, respawns, and
-            # the frame still comes out correct (possibly in-process).
-            second = encode_png_parallel(px, pool, bands=2)
-            assert np.array_equal(decode_png(second), decode_png(first))
-            assert pool.ensure_workers() == 2
+            monkeypatch.setattr(parallel, "deflate_band", failing_last_band)
+            with pytest.raises(zlib.error, match="band failed"):
+                encode_png_parallel(px, pool, bands=3)
+            with pytest.raises(zlib.error, match="band failed"):
+                encode_lossy_parallel(px, pool, bands=3)
+            monkeypatch.undo()
+            out = encode_png_parallel(px, pool, bands=3)
+            assert np.array_equal(decode_png(out), px)
+            assert pool.fallbacks == 0
 
     def test_metrics_flow_through_instrumentation(self):
         obs = Instrumentation()
@@ -243,10 +222,13 @@ class TestPoolLifecycle:
             encode_png_parallel(_pixels(14, 150, 20), pool, bands=2)
             assert obs.registry.total("encode.bands") == 2
             assert obs.registry.total("encode.workers") == 1
-            assert obs.registry.total("encode.shm_bytes") > 0
-            assert obs.registry.total("encode.pool_saturated") == 1
+            assert obs.registry.total("encode.fallbacks") == 0
+            # One worker and no explicit band count: a PNG would get a
+            # single band, so it takes the serial encoder instead.
+            encode_png_parallel(_pixels(15, 150, 20), pool)
+            assert obs.registry.total("encode.fallbacks") == 1
+            assert pool.fallbacks == 1
         assert obs.registry.total("encode.workers") == 0
-        assert obs.registry.total("encode.shm_bytes") == 0
 
     def test_workers_clamped_to_at_least_one(self):
         with EncodePool(0) as pool:

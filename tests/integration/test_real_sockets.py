@@ -30,18 +30,22 @@ def pump(ah, participant, seconds=1.0, editor=None, text=None):
     return participant.converged_with(ah.windows)
 
 
+def accept_one(listener, seconds=2.0):
+    """The server side of the connection a client just opened."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        conns = listener.accept_ready()
+        if conns:
+            return conns[0]
+        time.sleep(0.001)
+    raise AssertionError("no connection accepted")
+
+
 class TestRealTcp:
     def test_session_over_loopback_tcp(self):
         with TcpListener() as listener:
             client_conn = connect(*listener.address)
-            server_conn = None
-            deadline = time.monotonic() + 2
-            while server_conn is None and time.monotonic() < deadline:
-                conns = listener.accept_ready()
-                if conns:
-                    server_conn = conns[0]
-                time.sleep(0.001)
-            assert server_conn is not None
+            server_conn = accept_one(listener)
             try:
                 ah = ApplicationHost(clock=monotonic_now)
                 win = ah.windows.create_window(Rect(10, 10, 200, 150))
@@ -71,14 +75,7 @@ class TestDisconnect:
     def test_ah_drops_departed_tcp_participant(self):
         with TcpListener() as listener:
             client_conn = connect(*listener.address)
-            server_conn = None
-            deadline = time.monotonic() + 2
-            while server_conn is None and time.monotonic() < deadline:
-                conns = listener.accept_ready()
-                if conns:
-                    server_conn = conns[0]
-                time.sleep(0.001)
-            assert server_conn is not None
+            server_conn = accept_one(listener)
             ah = ApplicationHost(clock=monotonic_now)
             ah.windows.create_window(Rect(0, 0, 80, 60))
             ah.add_participant("leaver", TcpSocketTransport(server_conn))
@@ -90,6 +87,26 @@ class TestDisconnect:
                 time.sleep(0.001)
             assert "leaver" not in ah.sessions
             server_conn.close()
+
+    def test_transport_close_closes_the_connection(self):
+        with TcpListener() as listener:
+            client_conn = connect(*listener.address)
+            server_conn = accept_one(listener)
+            try:
+                transport = TcpSocketTransport(server_conn)
+                assert not transport.closed
+                transport.close()
+                assert server_conn.closed
+                assert transport.closed
+                # The peer sees the shutdown as end-of-stream.
+                deadline = time.monotonic() + 2
+                while not client_conn.closed and time.monotonic() < deadline:
+                    client_conn.receive_packets()
+                    time.sleep(0.001)
+                assert client_conn.closed
+            finally:
+                client_conn.close()
+                server_conn.close()
 
 
 class TestRealUdp:

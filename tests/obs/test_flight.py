@@ -4,7 +4,7 @@ import json
 
 from repro.obs import Instrumentation
 from repro.obs.flight import SESSION_RING, FlightRecorder
-from repro.stats.trace import TraceEvent
+from repro.obs.trace import TraceEvent
 
 
 def ev(time, kind, **attrs):

@@ -8,7 +8,7 @@ from repro.sharing.ah import ApplicationHost
 from repro.sharing.participant import Participant
 from repro.sharing.transport import StreamTransport
 from repro.net.channel import ChannelConfig, duplex_reliable
-from repro.stats.metrics import LatencyRecorder, TrafficStats
+from repro.obs.metrics import LatencyRecorder, TrafficStats
 
 
 class TestFacade:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.codecs.base import default_registry
-from repro.codecs.parallel import EncodePool
+from repro.codecs.parallel import EncodePool, encode_png_parallel
 from repro.obs import Instrumentation
 from repro.rtp.clock import SimulatedClock
 from repro.rtp.session import RtpSender
@@ -81,6 +83,41 @@ class TestFrameEncoderPool:
         codec = reg().by_payload_type(a[0])
         assert np.array_equal(codec.decode(a[1]), codec.decode(b[1]))
 
+    def test_encoders_share_one_pool_from_concurrent_threads(self):
+        # More callers than cores and a short switch interval: a lost
+        # update on the shared band counter, or bands crossing between
+        # callers, would break the two asserts below.
+        callers, frames, workers = 4, 6, 2
+        obs = Instrumentation()
+        codec = default_registry().by_name(SharingConfig().lossless_codec)
+        failures: list[str] = []
+
+        def run(index: int, pool: EncodePool) -> None:
+            encoder = _encoder(pool, config=SharingConfig(adaptive_codec=False))
+            for frame in range(frames):
+                pixels = _photo(100 * index + frame)
+                _pt, data, pooled = encoder._encode_pixels(pixels)
+                if not pooled or not np.array_equal(codec.decode(data), pixels):
+                    failures.append(f"caller {index} frame {frame}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with EncodePool(workers, obs=obs) as pool:
+                threads = [
+                    threading.Thread(target=run, args=(i, pool))
+                    for i in range(callers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert obs.registry.total("encode.bands") == callers * frames * workers
+
 
 class TestApplicationHostPool:
     def test_workers_zero_means_no_pool(self):
@@ -103,11 +140,21 @@ class TestApplicationHostPool:
             ah.close()
         assert ah.encode_pool.closed
 
+    def test_close_joins_the_band_threads(self):
+        baseline = threading.active_count()
+        ah = ApplicationHost(
+            320, 240, config=SharingConfig(encode_workers=2),
+            clock=SimulatedClock().now,
+        )
+        encoder = ah.add_participant("p1", NullTransport()).scheduler.encoder
+        encoder.encode_update(UpdateOp(1, 0, 0, _photo(4)), 0.0)
+        assert threading.active_count() > baseline
+        ah.close()
+        assert threading.active_count() == baseline
+
     def test_invalid_worker_config_rejected(self):
         with pytest.raises(ValueError):
             SharingConfig(encode_workers=-2)
-        with pytest.raises(ValueError):
-            SharingConfig(encode_bands=-1)
 
 
 class TestHostedSessionPool:
@@ -123,12 +170,25 @@ class TestHostedSessionPool:
                 session = server.session(code)
                 pool = session.ah.encode_pool
                 assert pool is not None and not pool.closed
-                # The pool watch loop rides the session's supervision.
-                assert any(
-                    "encode-pool" in (t.get_name() or "")
-                    for t in session._tasks
-                )
                 session.close(reason="test")
                 assert pool.closed
+
+        asyncio.run(scenario())
+
+    def test_server_stop_joins_the_band_threads(self):
+        async def scenario():
+            baseline = threading.active_count()
+            server = SessionServer()
+            await server.start()
+            code = server.host(
+                screen_width=320, screen_height=240,
+                config=SharingConfig(adaptive_codec=False, encode_workers=2),
+            )
+            encode_png_parallel(
+                _photo(5), server.session(code).ah.encode_pool
+            )
+            assert threading.active_count() > baseline
+            await server.stop()
+            assert threading.active_count() == baseline
 
         asyncio.run(scenario())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats.metrics import ByteCounter, LatencyRecorder, TrafficStats
+from repro.obs.metrics import ByteCounter, LatencyRecorder, TrafficStats
 
 
 class TestLatencyRecorder:

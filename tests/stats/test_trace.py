@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.obs.trace import SessionTrace
 from repro.rtp.clock import SimulatedClock
-from repro.stats.trace import SessionTrace
 
 
 @pytest.fixture
