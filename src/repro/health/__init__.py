@@ -14,10 +14,10 @@ subtree:
   :class:`~repro.sharing.server.SessionServer`, downstream pruning in
   :class:`~repro.relay.node.RelayNode`, and parent-death detection for
   relay failover.
-* :mod:`repro.health.supervisor` — :class:`TaskSupervisor`, a
-  crash-restart wrapper (exponential backoff, capped give-up) around
-  the per-session asyncio task groups, so one buggy session pump
-  cannot silently die and strand its session.
+* :mod:`repro.health.supervisor` — :class:`TaskSupervisor`, the
+  crash-restart strike counter (exponential backoff, capped give-up)
+  the server's one loop calls every hosted entry's round through, so
+  one buggy session can neither stop the loop nor wedge unrecorded.
 * :mod:`repro.health.admission` — :class:`AdmissionControl`,
   ``max_sessions``/``max_participants`` admission plus the graceful
   degradation ladder: downgrade relay rate tiers *before* shedding

@@ -2,12 +2,12 @@
 
 A :class:`HostedRelay` is what a *relay* join code resolves to: a
 :class:`~repro.relay.node.RelayNode` hanging under a hosted session's
-AH (or under another hosted relay), its own asyncio pump task, and the
-leaf participants joined through it.  It quacks like a
-:class:`~repro.sharing.server.session.HostedSession` where the server
-cares — ``code``, ``state``, ``_tasks``, ``close(reason=...)``,
-``closed_event``, ``on_close``, ``snapshot()`` — so the registry,
-``stop()`` and introspection paths treat both uniformly.
+AH (or under another hosted relay) and the leaf participants joined
+through it.  It is a
+:class:`~repro.sharing.server.session.HostedEntry` like a hosted
+session, so the server's one loop, the registry, ``stop()`` and the
+introspection paths treat both uniformly; its ``round()`` pumps the
+relay and then its viewers.
 
 Relays are **media-plane** endpoints: joining through one wires RTP
 directly (no SIP handshake — signalling stays at the root session's
@@ -17,20 +17,20 @@ negotiates once, then the tree scales distribution.
 
 from __future__ import annotations
 
-import asyncio
 import random
 
 from ..net.channel import ChannelConfig
-from ..obs.instrumentation import NULL
 from ..sharing.participant import Participant
 from ..sharing.server.errors import DuplicateParticipant, SessionClosed
-from ..sharing.server.session import HostedSession, SessionState
+from ..sharing.server.session import HostedEntry, HostedSession, SessionState
 from .node import RelayNode
-from .tree import duplex_transport_pair
+from .tree import attach_under, duplex_transport_pair
 
 
-class HostedRelay:
-    """A relay node + pump task + joined viewers behind one join code."""
+class HostedRelay(HostedEntry):
+    """A relay node + joined viewers behind one join code."""
+
+    closed_kind = "server.relay_closed"
 
     def __init__(
         self,
@@ -40,34 +40,20 @@ class HostedRelay:
         clock,
         detach,
         obs=None,
-        tick: float = 0.02,
         close_when_empty: bool = False,
         channel_config: ChannelConfig | None = None,
         rng: random.Random | None = None,
-        supervisor=None,
     ) -> None:
-        self.code = code
-        #: Optional :class:`~repro.health.supervisor.TaskSupervisor`
-        #: wrapping the pump in a crash-restart loop.
-        self.supervisor = supervisor
+        super().__init__(code, clock, obs, rng)
         #: The :class:`HostedSession` or :class:`HostedRelay` upstream.
         self.parent = parent
         self.relay = relay
-        self.clock = clock
         #: Unhooks the relay from its upstream on close.
         self._detach = detach
-        self.obs = (obs if obs is not None else NULL).scoped(session=code)
-        self.tick = tick
         self.close_when_empty = close_when_empty
         self.channel_config = channel_config or ChannelConfig(delay=0.01)
-        self._rng = rng or random.Random(hash(code) & 0xFFFF)
-        self.state = SessionState.OPEN
-        self.created_at = clock.now()
         self.viewers: dict[str, Participant] = {}
         self._had_viewer = False
-        self._tasks: list[asyncio.Task] = []
-        self.closed_event = asyncio.Event()
-        self.on_close = None  # set by the server: callback(code)
 
     # -- Viewer lifecycle ---------------------------------------------------
 
@@ -122,62 +108,23 @@ class HostedRelay:
     def participant_count(self) -> int:
         return len(self.viewers)
 
-    # -- The pump task ------------------------------------------------------
+    # -- The service round --------------------------------------------------
 
-    def start(self, *, realtime: bool = False) -> list[asyncio.Task]:
-        if self._tasks:
-            raise RuntimeError(f"relay {self.code} already started")
-        name = f"relay-{self.code}-pump"
-        if self.supervisor is not None:
-            self._tasks = [
-                self.supervisor.supervise(
-                    lambda: self._pump(realtime), name,
-                    on_give_up=lambda exc: self.close(
-                        reason="supervisor_give_up"
-                    ),
-                )
-            ]
-        else:
-            self._tasks = [
-                asyncio.create_task(self._pump(realtime), name=name),
-            ]
-        return self._tasks
-
-    async def _pump(self, realtime: bool) -> None:
-        while self.state is SessionState.OPEN:
-            if self.parent.state is not SessionState.OPEN:
-                self.close(reason="parent_closed")
-                break
-            self.relay.pump()
-            for viewer in list(self.viewers.values()):
-                viewer.process_incoming()
-            if realtime:
-                await asyncio.sleep(self.tick)
-            else:
-                await asyncio.sleep(0)
+    def round(self) -> None:
+        """Pump the relay, then its viewers; follow a closed parent."""
+        if self.parent.state is not SessionState.OPEN:
+            self.close(reason="parent_closed")
+            return
+        self.relay.pump()
+        for viewer in list(self.viewers.values()):
+            viewer.process_incoming()
 
     # -- Teardown -----------------------------------------------------------
 
-    def close(self, reason: str = "closed") -> None:
-        """Stop the pump, detach upstream, unregister.  Idempotent."""
-        if self.state is not SessionState.OPEN:
-            return
-        self.state = SessionState.CLOSING
-        try:
-            self._detach()
-        except Exception:
-            pass  # upstream may already be torn down
+    def _teardown(self) -> None:
+        # Idempotent upstream, so a parent that closed first is fine.
+        self._detach()
         self.viewers.clear()
-        self.state = SessionState.CLOSED
-        if self.obs.enabled:
-            self.obs.event("server.relay_closed", reason=reason)
-        self.closed_event.set()
-        for task in self._tasks:
-            if task is not asyncio.current_task():
-                task.cancel()
-        self._tasks = []
-        if self.on_close is not None:
-            self.on_close(self.code)
 
     def snapshot(self) -> dict:
         """One JSON-friendly row for ``SessionServer.relays()``."""
@@ -200,10 +147,8 @@ def attach_hosted_relay(
     rate_bps: int | None = None,
     relay_config=None,
     obs=None,
-    tick: float = 0.02,
     close_when_empty: bool = False,
     rng: random.Random | None = None,
-    supervisor=None,
 ) -> HostedRelay:
     """Build the relay + upstream hop for one ``host_relay`` call.
 
@@ -217,24 +162,21 @@ def attach_hosted_relay(
     cfg = channel_config or ChannelConfig(delay=0.01)
     upstream_side, relay_side = duplex_transport_pair(cfg, clock, obs=obs)
     if isinstance(parent, HostedSession):
-        parent.ah.add_participant(
-            rid, upstream_side, rate_bps=rate_bps, is_group=True
-        )
-        detach = lambda: parent.ah.remove_participant(rid)  # noqa: E731
+        upstream = parent.ah
     elif isinstance(parent, HostedRelay):
-        parent.relay.add_downstream(rid, upstream_side, rate_bps=rate_bps)
-        detach = lambda: parent.relay.remove_downstream(rid)  # noqa: E731
+        upstream = parent.relay
     else:
         raise TypeError(
             "a relay chains under a HostedSession or another HostedRelay, "
             f"not {type(parent).__name__}"
         )
+    detach = attach_under(upstream, rid, upstream_side, rate_bps)
     node = RelayNode(
         rid, relay_side, clock=clock, config=relay_config,
         rng=rng, obs=obs,
     )
     return HostedRelay(
         code, parent, node, clock, detach,
-        obs=obs, tick=tick, close_when_empty=close_when_empty,
-        channel_config=cfg, rng=rng, supervisor=supervisor,
+        obs=obs, close_when_empty=close_when_empty,
+        channel_config=cfg, rng=rng,
     )

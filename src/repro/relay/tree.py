@@ -54,36 +54,30 @@ def duplex_transport_pair(
     return upstream_side, downstream_side
 
 
-def attach_relay_to_ah(
-    ah: ApplicationHost,
-    relay_id: str,
-    clock,
-    channel_config: ChannelConfig | None = None,
+def attach_under(
+    parent: ApplicationHost | RelayNode,
+    child_id: str,
+    transport,
     rate_bps: int | None = None,
-    relay_config: RelayConfig | None = None,
-    rng=None,
-    obs=None,
-    faults: FaultProfile | None = None,
-) -> RelayNode:
-    """Hang a relay directly under the AH (the tree root hop).
+) -> Callable[[], None]:
+    """Hang ``child_id`` under ``parent``; returns the detach callable.
 
-    The AH sees the relay as one ``is_group`` destination — one RTP
+    An AH sees the child as one ``is_group`` destination — one RTP
     session, one retransmit cache entry stream, one rate tier —
-    however many viewers sit in the subtree behind it.
+    however many viewers sit in the subtree behind it; a relay sees
+    one more downstream.
     """
-    cfg = channel_config or ChannelConfig(delay=0.01)
-    ah_side, relay_side = duplex_transport_pair(
-        cfg, clock, obs=obs, faults=faults
-    )
-    ah.add_participant(relay_id, ah_side, rate_bps=rate_bps, is_group=True)
-    return RelayNode(
-        relay_id, relay_side, clock=clock, config=relay_config,
-        rng=rng, obs=obs,
-    )
+    if isinstance(parent, ApplicationHost):
+        parent.add_participant(
+            child_id, transport, rate_bps=rate_bps, is_group=True
+        )
+        return lambda: parent.remove_participant(child_id)
+    parent.add_downstream(child_id, transport, rate_bps=rate_bps)
+    return lambda: parent.remove_downstream(child_id)
 
 
 def attach_relay_to_relay(
-    parent: RelayNode,
+    parent: ApplicationHost | RelayNode,
     relay_id: str,
     clock,
     channel_config: ChannelConfig | None = None,
@@ -93,16 +87,21 @@ def attach_relay_to_relay(
     obs=None,
     faults: FaultProfile | None = None,
 ) -> RelayNode:
-    """Chain a child relay under ``parent`` (one interior tree hop)."""
+    """Chain a relay under ``parent``: one tree hop, root or interior."""
     cfg = channel_config or ChannelConfig(delay=0.01)
     parent_side, child_side = duplex_transport_pair(
         cfg, clock, obs=obs, faults=faults
     )
-    parent.add_downstream(relay_id, parent_side, rate_bps=rate_bps)
+    attach_under(parent, relay_id, parent_side, rate_bps)
     return RelayNode(
         relay_id, child_side, clock=clock, config=relay_config,
         rng=rng, obs=obs,
     )
+
+
+#: Hang a relay directly under the AH (the tree root hop): the same
+#: call, :func:`attach_under` tells the two kinds of parent apart.
+attach_relay_to_ah = attach_relay_to_relay
 
 
 def attach_viewer(
@@ -240,15 +239,10 @@ class RelayTree:
             parent_side, child_side = duplex_transport_pair(
                 cfg, self.clock, obs=self.obs
             )
-            rate = self.upstream_rate.get(relay.id)
-            if new_parent_id is None:
-                self.ah.add_participant(
-                    relay.id, parent_side, rate_bps=rate, is_group=True
-                )
-            else:
-                nodes[new_parent_id].add_downstream(
-                    relay.id, parent_side, rate_bps=rate
-                )
+            attach_under(
+                self.ah if new_parent_id is None else nodes[new_parent_id],
+                relay.id, parent_side, self.upstream_rate.get(relay.id),
+            )
             relay.replace_upstream(child_side, failover_started=started)
             self.parent_of[relay.id] = new_parent_id
             self.failover_log.append((relay.id, new_parent_id))
@@ -290,28 +284,21 @@ def build_relay_tree(
         obs=obs if obs is not None else NULL,
         link_config=link_config,
     )
-    parents: list[RelayNode] | None = None
+    parents: list[ApplicationHost] | list[RelayNode] = [ah]
     for depth, fanout in enumerate(fanouts):
         level: list[RelayNode] = []
-        if parents is None:
+        for p_index, parent in enumerate(parents):
+            prefix = f"relay-{depth}-{p_index}" if depth else "relay-0"
             for i in range(fanout):
-                relay = attach_relay_to_ah(
-                    ah, f"relay-0-{i}", clock,
+                relay = attach_relay_to_relay(
+                    parent, f"{prefix}-{i}", clock,
                     channel_config=link_config(), rate_bps=rate_bps,
                     relay_config=relay_config, rng=rng, obs=obs,
                 )
-                tree.register(relay, None, rate_bps=rate_bps)
+                tree.register(
+                    relay, parent if depth else None, rate_bps=rate_bps
+                )
                 level.append(relay)
-        else:
-            for p_index, parent in enumerate(parents):
-                for i in range(fanout):
-                    relay = attach_relay_to_relay(
-                        parent, f"relay-{depth}-{p_index}-{i}", clock,
-                        channel_config=link_config(), rate_bps=rate_bps,
-                        relay_config=relay_config, rng=rng, obs=obs,
-                    )
-                    tree.register(relay, parent, rate_bps=rate_bps)
-                    level.append(relay)
         tree.levels.append(level)
         parents = level
     for leaf_index, leaf in enumerate(tree.leaves):

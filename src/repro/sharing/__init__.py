@@ -18,6 +18,7 @@ The curated public surface (see ``docs/API.md``):
 from __future__ import annotations
 
 import random
+import zlib
 
 from ..net.channel import ChannelConfig
 from ..rtp.clock import SimulatedClock
@@ -163,7 +164,7 @@ def join(
         f"sip:{name}@remote",
         binding,
         prefer_transport=prefer_transport,
-        rng=rng or random.Random(hash(name) & 0xFFFF),
+        rng=rng or random.Random(zlib.crc32(name.encode())),
     )
     for _ in range(max_rounds):
         peer.pump()

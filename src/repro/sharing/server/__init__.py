@@ -2,10 +2,11 @@
 
 One :class:`SessionServer` process hosts hundreds of independent
 sharing sessions: a join-code :class:`SessionRegistry`, one
-:class:`HostedSession` (AH + :class:`SessionCore` + task group) per
-code, a signalling front door (INVITE/BYE through the existing SIP/SDP
-stack), and cooperative transport adapters so per-session work never
-blocks the event loop.  The synchronous
+:class:`HostedSession` (AH + :class:`SessionCore`) per code, one loop
+that steps them all (:meth:`SessionServer.step`), a signalling front
+door (INVITE/BYE through the existing SIP/SDP stack), and cooperative
+transport adapters so no session's backlog starves the others' rounds.
+The synchronous
 :class:`~repro.sharing.service.SharingService` wraps the same
 :class:`SessionCore` for single-session use.
 

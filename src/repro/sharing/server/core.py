@@ -7,7 +7,7 @@ queues, the negotiated media wiring, and the participant lifecycle.
 The synchronous :class:`~repro.sharing.service.SharingService` is a
 thin single-session wrapper over this class; the asyncio
 :class:`~repro.sharing.server.SessionServer` hosts hundreds of them,
-each driven by its own task group.
+all stepped from its one loop.
 
 The split keeps every method here non-blocking and clock-agnostic:
 
@@ -167,6 +167,7 @@ class SessionCore:
         participant = Participant(
             name, self._wrap(p_transport), clock=self.clock,
             config=self.ah.config, obs=self.obs,
+            rng=random.Random(self._rng.randrange(1 << 30)),
         )
         participant.join()
         call = self._calls[name]

@@ -6,7 +6,7 @@ from an unambiguous alphabet (no ``0/O``, ``1/I/L``) with a seeded RNG
 so simulations stay deterministic; callers may also pin an explicit
 code (meeting rooms with stable codes), which must be unique.
 
-The registry is bookkeeping only — session lifecycle (task groups,
+The registry is bookkeeping only — session lifecycle (rounds,
 signalling) lives in :class:`~repro.sharing.server.session.HostedSession`;
 the registry just guarantees code uniqueness and O(1) lookup, and
 counts what happened through the server's instrumentation.

@@ -3,16 +3,20 @@
 One :class:`SessionServer` process hosts hundreds of independent
 sharing sessions: a :class:`~repro.sharing.server.registry.SessionRegistry`
 keyed by join codes, one :class:`~repro.sharing.server.session.HostedSession`
-per hosted AH with its own task group, and a signalling front door —
+per hosted AH, and a signalling front door —
 :meth:`join` runs the INVITE/answer handshake through the existing
 SIP/SDP stack and resolves once media is wired, :meth:`leave` BYEs.
 
-Time: all sessions share the server clock.  In the default virtual-time
-mode a dedicated clock-pump task advances a
-:class:`~repro.rtp.clock.SimulatedClock` by ``tick`` per scheduling
-round, so a 200-session simulation runs as fast as the hardware allows;
-pass ``realtime=True`` to pace against the wall clock instead
-(``time.monotonic``).
+One loop: the server owns the only asyncio task, and its body is the
+synchronous :meth:`SessionServer.step` — advance the shared clock by
+``tick``, then one ``round()`` per registered entry (sessions and
+relays) in registration order, each under the restart policy.  The
+task is ``while running: step(); await sleep(0)``, so a 200-session
+simulation runs as fast as the hardware allows and a driver that wants
+no event loop at all can call :meth:`~SessionServer.step` itself.
+Pass ``realtime=True`` to pace against the wall clock instead
+(``time.monotonic``): the loop then leaves the clock alone and sleeps
+``tick`` between steps.
 
 Usage::
 
@@ -93,7 +97,6 @@ class SessionServer:
         overload: OverloadConfig | None = None,
         restart_policy: RestartPolicy | None = None,
         liveness: LivenessConfig | None = None,
-        supervise: bool = True,
     ) -> None:
         self.realtime = realtime
         if clock is not None:
@@ -114,18 +117,16 @@ class SessionServer:
         self.join_timeout = join_timeout
         #: Capacity checks + the degrade/shed overload ladder.
         self.admission = AdmissionControl(overload, instrumentation=self.obs)
-        #: Crash-restart supervision shared by every hosted task group.
-        self.supervisor = (
-            TaskSupervisor(restart_policy, instrumentation=self.obs)
-            if supervise
-            else None
+        #: Crash-restart strikes for every hosted entry's rounds.
+        self.supervisor = TaskSupervisor(
+            restart_policy, instrumentation=self.obs
         )
         #: Silence thresholds handed to every hosted AH (None keeps
         #: eviction off, the historical behaviour).
         self.liveness_config = liveness
         self._load_level = "ok"
         self._running = False
-        self._clock_task: asyncio.Task | None = None
+        self._loop_task: asyncio.Task | None = None
         self._c_joins = self.obs.counter("server.joins")
         self._c_join_failures = self.obs.counter("server.join_failures")
         self._c_leaves = self.obs.counter("server.leaves")
@@ -137,30 +138,20 @@ class SessionServer:
         if self._running:
             return self
         self._running = True
-        if not self.realtime:
-            self._clock_task = asyncio.create_task(
-                self._clock_pump(), name="server-clock"
-            )
+        self._loop_task = asyncio.create_task(
+            self._loop(), name="server-loop"
+        )
         return self
 
     async def stop(self) -> None:
         if not self._running:
             return
         self._running = False
-        leftovers: list[asyncio.Task] = []
-        for _code, session in list(self.registry):
-            leftovers.extend(session._tasks)
-            session.close(reason="server_stop")
-        if leftovers:
-            await asyncio.gather(*leftovers, return_exceptions=True)
-        if self._clock_task is not None:
-            self._clock_task.cancel()
-            try:
-                await self._clock_task
-            except asyncio.CancelledError:
-                pass
-            self._clock_task = None
-        await asyncio.sleep(0)  # let cancelled session tasks unwind
+        for _code, entry in self.registry:
+            entry.close(reason="server_stop")
+        # The loop wakes from its sleep, sees the flag and returns.
+        task, self._loop_task = self._loop_task, None
+        await task
 
     async def __aenter__(self) -> "SessionServer":
         return await self.start()
@@ -168,16 +159,31 @@ class SessionServer:
     async def __aexit__(self, *exc) -> None:
         await self.stop()
 
-    async def _clock_pump(self) -> None:
-        """Advance shared virtual time once per scheduling round.
-
-        ``sleep(0)`` parks us at the back of the ready queue, so every
-        session task gets one iteration per clock tick — uniform
-        progress without per-session timers.
-        """
+    async def _loop(self) -> None:
+        pause = self.tick if self.realtime else 0
         while self._running:
+            self.step()
+            await asyncio.sleep(pause)
+
+    def step(self) -> None:
+        """One service round for everything hosted; never awaits.
+
+        Advances shared virtual time by ``tick`` (realtime mode reads
+        the wall clock instead), then gives every registered entry one
+        ``round()`` in registration order, so a relay always runs after
+        the session or relay it hangs under.  A raising round is a
+        strike against that entry alone (see
+        :class:`~repro.health.supervisor.TaskSupervisor`); exhausting
+        the restart budget closes it with
+        ``reason="supervisor_give_up"``.
+        """
+        if not self.realtime:
             self.clock.advance(self.tick)
-            await asyncio.sleep(0)
+        # The registry iterates a snapshot, so entries may close (and
+        # unregister) mid-step; an earlier round may have closed this one.
+        for code, entry in self.registry:
+            if entry.state is SessionState.OPEN:
+                self.supervisor.run(code, entry.round, entry.give_up)
 
     # -- Overload protection ------------------------------------------------
 
@@ -240,6 +246,7 @@ class SessionServer:
     def _entry_closed(self, code: str) -> None:
         """on_close hook: unregister, then re-evaluate the ladder."""
         self.registry.remove(code)
+        self.supervisor.forget(code)
         self._refresh_load()
 
     # -- Hosting ------------------------------------------------------------
@@ -254,7 +261,7 @@ class SessionServer:
         rate_bps: int | None = None,
         close_when_empty: bool = True,
     ) -> str:
-        """Create and start a hosted session; returns its join code.
+        """Create and register a hosted session; returns its join code.
 
         ``close_when_empty`` unregisters the session after the last
         participant leaves (the default lobby behaviour); pass False
@@ -281,13 +288,10 @@ class SessionServer:
             obs=self.obs,
             cooperative_budget=self.cooperative_budget,
             close_when_empty=close_when_empty,
-            tick=self.tick,
             liveness=self.liveness_config,
-            supervisor=self.supervisor,
         )
         self.registry.register(session, issued)
         session.on_close = self._entry_closed
-        session.start(realtime=self.realtime)
         if self.obs.enabled:
             self.obs.event("server.session_hosted", session=issued)
         return issued
@@ -313,12 +317,13 @@ class SessionServer:
         ``parent_code`` may name a hosted session (the relay becomes
         one ``is_group`` destination of its AH) or another hosted relay
         (cascading one level deeper).  The relay registers in the same
-        join-code namespace and is pumped by its own task; viewers then
-        join it with :meth:`join_relay`.  ``rate_bps`` puts the whole
-        subtree inside one token-bucket tier at the upstream hop.
+        join-code namespace and gets one round per :meth:`step` after
+        its parent's; viewers then join it with :meth:`join_relay`.
+        ``rate_bps`` puts the whole subtree inside one token-bucket
+        tier at the upstream hop.
         """
         # Imported here: repro.relay imports this package for the
-        # HostedSession duck-type contract.
+        # HostedEntry contract.
         from ...relay.hosted import attach_hosted_relay
 
         if not self._running:
@@ -338,14 +343,11 @@ class SessionServer:
             rate_bps=rate_bps,
             relay_config=relay_config,
             obs=self.obs,
-            tick=self.tick,
             close_when_empty=close_when_empty,
             rng=random.Random(self._rng.randrange(1 << 30)),
-            supervisor=self.supervisor,
         )
         self.registry.register(hosted, issued)
         hosted.on_close = self._entry_closed
-        hosted.start(realtime=self.realtime)
         if self.obs.enabled:
             self.obs.event(
                 "server.relay_hosted", relay=issued, parent=parent.code
@@ -367,7 +369,7 @@ class SessionServer:
         Relays are media-plane endpoints: no SIP handshake runs (the
         root session's front door owns signalling), so this is
         synchronous — the returned participant converges as the
-        server's pumps run.  Raises :class:`ServerOverloaded` when the
+        server steps.  Raises :class:`ServerOverloaded` when the
         participant capacity is exhausted.
         """
         self._admit_join()
@@ -396,7 +398,7 @@ class SessionServer:
         """Join ``name`` to the session behind ``code``.
 
         Runs the full INVITE → negotiate → answer → ACK handshake via
-        the session's signalling pump and resolves once the media path
+        the session's rounds and resolves once the media path
         is wired.  Raises :class:`UnknownJoinCode`,
         :class:`DuplicateParticipant`, or :class:`JoinFailed` (covering
         the BYE-during-join race and handshake timeouts).  Raises
@@ -417,9 +419,10 @@ class SessionServer:
         assert call is not None
         call.watchers.append(watcher)
         try:
+            # A closing session aborts its half-open calls, so the
+            # watcher also hears of a close that races the handshake.
             event = await asyncio.wait_for(
-                self._race_close(session, done),
-                timeout if timeout is not None else self.join_timeout,
+                done, timeout if timeout is not None else self.join_timeout
             )
         except asyncio.TimeoutError:
             self._c_join_failures.inc()
@@ -430,8 +433,9 @@ class SessionServer:
             self._c_join_failures.inc()
             session.drop_peer(name)
             reason = (
-                "session closed during join"
-                if event == "closed" else "terminated during handshake"
+                "terminated during handshake"
+                if session.state is SessionState.OPEN
+                else "session closed during join"
             )
             raise JoinFailed(code, name, reason)
         participant = session.core.participant_for(name)
@@ -442,21 +446,6 @@ class SessionServer:
         if self.obs.enabled:
             self.obs.event("server.join", session=session.code, peer=name)
         return JoinedParticipant(self, session.code, name, participant, peer)
-
-    @staticmethod
-    async def _race_close(session: HostedSession, done: asyncio.Future) -> str:
-        """Resolve with the call outcome or the session's close."""
-        closed = asyncio.ensure_future(session.closed_event.wait())
-        try:
-            await asyncio.wait(
-                [done, closed], return_when=asyncio.FIRST_COMPLETED
-            )
-            if done.done():
-                return done.result()
-            return "closed"
-        finally:
-            closed.cancel()
-            done.cancel()
 
     async def leave(self, code: str, name: str) -> None:
         """BYE ``name`` out of the session (server-initiated hang-up)."""
@@ -470,7 +459,7 @@ class SessionServer:
         self._refresh_load()
         if self.obs.enabled:
             self.obs.event("server.leave", session=session.code, peer=name)
-        # Let the session's pumps deliver the BYE and run cleanup.
+        # Let the loop step once: the BYE is delivered, cleanup runs.
         await asyncio.sleep(0)
         session._maybe_close_when_empty()
 
@@ -503,27 +492,25 @@ class SessionServer:
 
     def health(self) -> dict:
         """The server-tier health snapshot (load, shedding, restarts)."""
-        row = {
+        return {
             "load_level": self._load_level,
             "sessions": self.session_count(),
             "participants": self.participant_count(),
             **self.admission.snapshot(),
+            "supervisor": self.supervisor.snapshot(),
         }
-        if self.supervisor is not None:
-            row["supervisor"] = self.supervisor.snapshot()
-        return row
 
     async def until(self, predicate, timeout: float = 10.0) -> None:
         """Run the server until ``predicate()`` is true.
 
-        The await itself is what lets the session tasks run; tests and
+        The await itself is what lets the server loop step; tests and
         benchmarks use this instead of hand-rolled pump loops.
 
         ``timeout`` is measured against the *server clock* — virtual
         seconds in the default mode (however fast the hardware pumps
         them), wall seconds in realtime mode.  A wall-clock backstop of
         ``max(timeout, 60)`` seconds still fires when virtual time is
-        parked (server not started, clock pump cancelled) so a wedged
+        parked (server not started, loop stopped) so a wedged
         predicate cannot spin forever.
         """
         deadline = self.clock.now() + timeout

@@ -1,31 +1,31 @@
-"""One hosted sharing session: an AH, its core, and its task group.
+"""One hosted sharing session: an AH, its core, and its service round.
 
 A :class:`HostedSession` is what a join code resolves to.  It owns the
-:class:`~repro.sharing.ah.ApplicationHost`, the per-session
-:class:`~repro.sharing.server.core.SessionCore`, and — once the server
-starts it — two asyncio tasks:
+:class:`~repro.sharing.ah.ApplicationHost` and the per-session
+:class:`~repro.sharing.server.core.SessionCore`, and the server's one
+loop calls its :meth:`~HostedSession.round` once per step:
 
-* the **signalling pump** drains SIP both ways and auto-answers the
+* the **signalling** half drains SIP both ways and auto-answers the
   remote peers the front door created;
-* the **media pump** runs capture→distribute→receive rounds, computing
-  ``dt`` from the server clock so sessions tolerate uneven scheduling.
-  Every round — idle ones included — also gives each destination's
-  RTCP reporter its send opportunity, so reports need no timer task of
-  their own.
+* the **media** half runs one capture→distribute→receive round,
+  computing ``dt`` from the server clock so sessions tolerate uneven
+  stepping.  Every round, idle ones included, also gives each
+  destination's RTCP reporter its send opportunity, so reports need no
+  timer of their own.
 
-Every task iteration ends by yielding to the event loop, so hundreds
-of sessions interleave fairly and per-session work never blocks the
-process.
+:class:`HostedEntry` is the whole contract the server has with what it
+registers (sessions here, relays in :mod:`repro.relay.hosted`):
+``code``, ``state``, ``participant_count``, ``round()``,
+``close(reason)`` and ``snapshot()``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import random
+import zlib
 
 from ...health.liveness import LivenessConfig
-from ...health.supervisor import TaskSupervisor
 from ...obs.instrumentation import NULL
 from ..ah import ApplicationHost
 from ..config import SharingConfig
@@ -40,8 +40,54 @@ class SessionState(enum.Enum):
     CLOSED = "closed"
 
 
-class HostedSession:
-    """AH + core + task group behind one join code."""
+class HostedEntry:
+    """What a join code resolves to, as the server's loop sees it.
+
+    Subclasses add ``participant_count``, ``round()`` (one unit of
+    service; the loop calls it once per step while ``state`` is OPEN),
+    ``_teardown()`` (the entry-specific half of :meth:`close`) and
+    ``snapshot()``.
+    """
+
+    #: The obs event emitted on close, with the reason.
+    closed_kind = ""
+
+    def __init__(self, code: str, clock, obs, rng) -> None:
+        self.code = code
+        self.clock = clock
+        #: Entry-scoped facade: every metric/event below carries
+        #: ``session=<code>``.
+        self.obs = (obs if obs is not None else NULL).scoped(session=code)
+        self._rng = rng or random.Random(zlib.crc32(code.encode()))
+        self.state = SessionState.OPEN
+        self.created_at = clock.now()
+        self.on_close = None  # set by the server: callback(code)
+
+    def close(self, reason: str = "closed") -> None:
+        """Tear the entry down and unregister it.
+
+        Idempotent; safe to call from inside the entry's own round
+        (the loop sees the state flip and stops calling it).
+        """
+        if self.state is not SessionState.OPEN:
+            return
+        self.state = SessionState.CLOSING
+        self._teardown()
+        self.state = SessionState.CLOSED
+        if self.obs.enabled:
+            self.obs.event(self.closed_kind, reason=reason)
+        if self.on_close is not None:
+            self.on_close(self.code)
+
+    def give_up(self, exc: BaseException) -> None:
+        """The supervisor's last word: the restart budget is spent."""
+        self.close(reason="supervisor_give_up")
+
+
+class HostedSession(HostedEntry):
+    """AH + core behind one join code."""
+
+    closed_kind = "server.session_closed"
 
     def __init__(
         self,
@@ -56,19 +102,9 @@ class HostedSession:
         obs=None,
         cooperative_budget: int | None = 256,
         close_when_empty: bool = True,
-        tick: float = 0.02,
         liveness: LivenessConfig | None = None,
-        supervisor: TaskSupervisor | None = None,
     ) -> None:
-        self.code = code
-        self.clock = clock
-        #: Session-scoped facade: every metric/event below carries
-        #: ``session=<code>``.
-        self.obs = (obs if obs is not None else NULL).scoped(session=code)
-        self._rng = rng or random.Random(hash(code) & 0xFFFF)
-        #: Crash-restart supervision for the pump tasks (None = bare
-        #: tasks, the historical behaviour).
-        self.supervisor = supervisor
+        super().__init__(code, clock, obs, rng)
         self.ah = ApplicationHost(
             screen_width=screen_width,
             screen_height=screen_height,
@@ -88,15 +124,9 @@ class HostedSession:
             obs=self.obs,
             cooperative_budget=cooperative_budget,
         )
-        self.state = SessionState.OPEN
         self.close_when_empty = close_when_empty
-        self.tick = tick
-        self.created_at = clock.now()
         #: Remote peers the front door manages, keyed by participant name.
         self.peers: dict[str, RemotePeer] = {}
-        self._tasks: list[asyncio.Task] = []
-        self.closed_event = asyncio.Event()
-        self.on_close = None  # set by the server: callback(code)
         self._last_media = clock.now()
 
     # -- Front-door participant lifecycle -----------------------------------
@@ -125,69 +155,31 @@ class HostedSession:
     def participant_count(self) -> int:
         return len(self.core.call_names())
 
-    # -- The task group -----------------------------------------------------
+    # -- The service round --------------------------------------------------
 
-    def start(self, *, realtime: bool = False) -> list[asyncio.Task]:
-        """Spawn the session's tasks on the running loop.
-
-        With a supervisor, each pump runs inside a crash-restart loop:
-        an uncaught exception restarts the pump with backoff instead of
-        silently wedging the session, and exhausting the restart budget
-        closes the session cleanly (``reason="supervisor_give_up"``).
-        """
-        if self._tasks:
-            raise RuntimeError(f"session {self.code} already started")
-        name = f"session-{self.code}"
-        pumps = [
-            (f"{name}-signalling", self._signalling_pump),
-            (f"{name}-media", lambda: self._media_pump(realtime)),
-        ]
-        if self.supervisor is not None:
-            give_up = lambda exc: self.close(  # noqa: E731
-                reason="supervisor_give_up"
-            )
-            self._tasks = [
-                self.supervisor.supervise(
-                    factory, task_name, on_give_up=give_up
-                )
-                for task_name, factory in pumps
-            ]
-        else:
-            self._tasks = [
-                asyncio.create_task(factory(), name=task_name)
-                for task_name, factory in pumps
-            ]
-        return self._tasks
-
-    async def _signalling_pump(self) -> None:
-        while self.state is SessionState.OPEN:
-            self.core.pump_signalling()
-            departed = []
-            for name, peer in self.peers.items():
-                peer.pump()
-                if peer.terminated and self.core.call_for(name) is None:
-                    departed.append(name)
-            for name in departed:
-                self.drop_peer(name)
-            self._maybe_close_when_empty()
-            await asyncio.sleep(0)
-
-    async def _media_pump(self, realtime: bool) -> None:
-        while self.state is SessionState.OPEN:
-            now = self.clock.now()
-            dt = now - self._last_media
-            self._last_media = now
-            # dt=0 rounds still run: they drain transports mid-handshake
-            # and flush the initial full sync while the clock is parked.
-            self.core.media_round(dt)
-            # Silence-driven eviction (no-op unless liveness is
-            # configured); the signalling pump notices the emptied
-            # session and applies close_when_empty.
-            self.core.poll_liveness()
-            if realtime:
-                await asyncio.sleep(self.tick)
-            else:
-                await asyncio.sleep(0)
+    def round(self) -> None:
+        """Signalling both ways, then one media round."""
+        self.core.pump_signalling()
+        departed = []
+        for name, peer in self.peers.items():
+            peer.pump()
+            if peer.terminated and self.core.call_for(name) is None:
+                departed.append(name)
+        for name in departed:
+            self.drop_peer(name)
+        self._maybe_close_when_empty()
+        if self.state is not SessionState.OPEN:
+            return
+        now = self.clock.now()
+        dt = now - self._last_media
+        self._last_media = now
+        # dt=0 rounds still run: they drain transports mid-handshake
+        # and flush the initial full sync while the clock is parked.
+        self.core.media_round(dt)
+        # Silence-driven eviction (no-op unless liveness is
+        # configured); the next round's signalling half notices the
+        # emptied session and applies close_when_empty.
+        self.core.poll_liveness()
 
     def _maybe_close_when_empty(self) -> None:
         if (
@@ -202,36 +194,18 @@ class HostedSession:
 
     # -- Teardown -----------------------------------------------------------
 
-    def close(self, reason: str = "closed") -> None:
-        """Stop the session: BYE every call, cancel tasks, unregister.
-
-        Idempotent; safe to call from inside one of the session's own
-        tasks (tasks observe the state flip and exit on their next
-        iteration; cross-task cancellation happens on the server's
-        close path).
-        """
-        if self.state is not SessionState.OPEN:
-            return
-        self.state = SessionState.CLOSING
+    def _teardown(self) -> None:
+        """BYE every call, abort the half-open ones, stop the AH."""
         self.core.hang_up_all()
-        # Deliver the BYEs so in-flight joiners learn they were raced.
+        # What is left never established: its joiner is still waiting
+        # on the call's watchers, and learns here that it was raced.
+        for name in self.core.call_names():
+            self.core.abort(name)
+        # Deliver the BYEs to the remote peers.
         for peer in list(self.peers.values()):
-            try:
-                peer.pump()
-            except Exception:
-                pass
+            peer.pump()
         self.peers.clear()
         self.ah.close()  # joins the encode pool's threads
-        self.state = SessionState.CLOSED
-        if self.obs.enabled:
-            self.obs.event("server.session_closed", reason=reason)
-        self.closed_event.set()
-        for task in self._tasks:
-            if task is not asyncio.current_task():
-                task.cancel()
-        self._tasks = []
-        if self.on_close is not None:
-            self.on_close(self.code)
 
     def snapshot(self) -> dict:
         """One JSON-friendly row for ``SessionServer.sessions()``."""

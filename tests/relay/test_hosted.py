@@ -11,6 +11,7 @@ from repro.sharing.server import (
     DuplicateParticipant,
     ServerError,
     SessionClosed,
+    SessionState,
     UnknownJoinCode,
 )
 from repro.surface.geometry import Rect
@@ -140,7 +141,9 @@ class TestTeardown:
                 r2 = server.host_relay(r1)
                 server.close_session(code)
                 hosted = server.relay(r2)
-                await asyncio.wait_for(hosted.closed_event.wait(), 5.0)
+                await server.until(
+                    lambda: hosted.state is SessionState.CLOSED, timeout=5
+                )
                 assert r1 not in server.codes()
                 assert r2 not in server.codes()
         run(scenario())
@@ -209,8 +212,9 @@ class TestCloseRaces:
                     except UnknownJoinCode:
                         pass
                     if hosted is not None:
-                        await asyncio.wait_for(
-                            hosted.closed_event.wait(), 5.0
+                        await server.until(
+                            lambda: hosted.state is SessionState.CLOSED,
+                            timeout=5,
                         )
                     assert code not in server.codes()
                     assert relay_code not in server.codes()

@@ -187,17 +187,12 @@ class TestSupervision:
                     raise RuntimeError("persistent")
 
                 session.core.media_round = broken
-                await asyncio.wait_for(session.closed_event.wait(), 10.0)
+                await server.until(
+                    lambda: session.state is SessionState.CLOSED
+                )
                 assert session.state is SessionState.CLOSED
                 assert code not in server.codes()
                 assert server.health()["supervisor"]["give_ups"] == 1
-        run(scenario())
-
-    def test_supervise_false_disables_the_layer(self):
-        async def scenario():
-            async with SessionServer(supervise=False) as server:
-                await hosted_editor(server)
-                assert "supervisor" not in server.health()
         run(scenario())
 
 

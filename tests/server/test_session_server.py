@@ -7,11 +7,19 @@ threading (per-session labels, server.sessions snapshot).
 """
 
 import asyncio
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.apps.text_editor import TextEditorApp
+from repro.net.channel import ChannelConfig
 from repro.obs import Instrumentation
+from repro.rtp.clock import SimulatedClock
 from repro.sharing.config import SharingConfig
 from repro.sharing.server import (
     DuplicateParticipant,
@@ -21,7 +29,10 @@ from repro.sharing.server import (
     SessionState,
     UnknownJoinCode,
 )
+from repro.sharing.server.session import HostedSession
 from repro.surface.geometry import Rect
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
 
 def run(coro):
@@ -273,3 +284,131 @@ class TestObservability:
                 assert "session.established" in kinds
                 assert "server.join" in kinds
         run(scenario())
+
+
+class TestOneLoop:
+    def test_one_task_serves_every_session_and_relay(self):
+        async def scenario():
+            me = asyncio.current_task()
+            server = SessionServer()
+            await server.start()
+            codes = [(await hosted_editor(server))[0] for _ in range(20)]
+            relay = server.host_relay(codes[0])
+            server.host_relay(relay)
+            viewer = server.join_relay(relay, "alice")
+            await server.until(lambda: viewer.updates_applied > 0)
+            others = [t for t in asyncio.all_tasks() if t is not me]
+            assert [t.get_name() for t in others] == ["server-loop"]
+            await server.stop()
+            assert [t for t in asyncio.all_tasks() if t is not me] == []
+        run(scenario())
+
+    def test_step_alone_converges_a_viewer(self):
+        async def scenario():
+            async with SessionServer() as server:
+                code, editor = await hosted_editor(server)
+                session = server.session(code)
+                session.add_peer("alice")
+                editor.type_text("no event loop between these steps")
+                t0 = server.clock.now()
+                # No await below: the loop task never gets a turn, so
+                # step() is all that moves the session.
+                for steps in range(1, 500):
+                    server.step()
+                    viewer = session.core.participant_for("alice")
+                    if viewer and viewer.converged_with(session.ah.windows):
+                        break
+                else:
+                    pytest.fail("not converged after 500 steps")
+                assert server.clock.now() - t0 == pytest.approx(
+                    steps * server.tick
+                )
+        run(scenario())
+
+    def test_realtime_paces_on_the_wall_clock(self):
+        async def scenario():
+            async with SessionServer(realtime=True, tick=0.005) as server:
+                code, editor = await hosted_editor(server)
+                session = server.session(code)
+                wall0, clock0 = time.monotonic(), server.clock.now()
+                joined = await server.join(code, "alice")
+                editor.type_text("paced by time.monotonic")
+                await server.until(
+                    lambda: joined.participant.converged_with(
+                        session.ah.windows
+                    ),
+                    timeout=2.0,
+                )
+                wall, virtual = (
+                    time.monotonic() - wall0, server.clock.now() - clock0
+                )
+                assert wall < 2.0
+                # The server clock *is* the wall clock: step() added no
+                # ticks of its own on top of the elapsed time.
+                assert virtual == pytest.approx(wall, abs=0.005)
+        run(scenario())
+
+
+def replay_digest() -> str:
+    """The TestSeedReplay scenario: one digest over every media packet."""
+    from tests.integration.test_wire_transcript import Transcript
+
+    transcript = Transcript(pytest.MonkeyPatch())
+
+    async def scenario():
+        async with SessionServer(
+            rng=random.Random(1),
+            channel_config=ChannelConfig(delay=0.01, loss_rate=0.02, seed=9),
+        ) as server:
+            code, editor = await hosted_editor(server)
+            session = server.session(code)
+            viewers = [
+                (await server.join(code, "alice")).participant,
+                (await server.join(
+                    code, "bob", prefer_transport="udp"
+                )).participant,
+            ]
+            # Eight virtual seconds: past the first RTCP interval, so RR
+            # timing is in the digest.
+            for word in "the same bytes from the same seed again".split():
+                editor.type_text(word + " ")
+                pause = server.clock.now() + 1.0
+                await server.until(lambda: server.clock.now() >= pause)
+            assert all(v.converged_with(session.ah.windows) for v in viewers)
+
+    run(scenario())
+    # A session built without an rng seeds itself from its join code.
+    bare = HostedSession(
+        "ROOM42", SimulatedClock(), screen_width=320, screen_height=240,
+        config=small_config(),
+    )
+    bare.add_peer("carol", prefer_transport="udp")
+    for _ in range(20):
+        bare.round()
+        bare.clock.advance(0.02)
+    assert bare.core.participant_for("carol") is not None
+    bare.close()
+    assert transcript.packets > 50
+    return transcript.digest.hexdigest()
+
+
+class TestSeedReplay:
+    def test_same_seed_same_bytes_across_processes(self):
+        """SSRCs, sequence numbers and RR timing all come from the
+        server's seed, never from ``random.Random()`` or the
+        per-process ``str`` hash."""
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+            )
+            out = subprocess.run(
+                [sys.executable, "-c",
+                 "from tests.server.test_session_server import "
+                 "replay_digest; print(replay_digest())"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
