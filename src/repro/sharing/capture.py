@@ -166,28 +166,26 @@ class CapturePipeline:
             # new footprints must be repainted through RegionUpdates.
             self._damage_pointer_footprints()
 
+        exposed_by_window: dict[int, Region] = {}
         layout = layout_signature(self.manager.geometries())
-        if layout != self._prev_layout:
+        layout_changed = layout != self._prev_layout
+        if layout_changed:
             frame.window_info = window_manager_info(self.manager)
             self._prev_layout = layout
+            exposed_by_window = self._refresh_visibility()
 
         damage_by_window = self.manager.harvest_damage()
-        for window in self.manager:
+        # With no damage and the layout as it was, no window has
+        # anything to send and every snapshot is current.
+        windows = self.manager if damage_by_window or layout_changed else ()
+        for window in windows:
             wid = window.window_id
             damage = damage_by_window.get(wid)
-            prev = self._prev_surfaces.get(wid)
-            # Occlusion change: pixels that just became visible were
-            # clipped out of earlier damage and are stale downstream.
-            visible = self.manager.visible_region(wid).translated(
-                -window.rect.left, -window.rect.top
-            )
-            exposed = visible.subtract(
-                self._prev_visible.get(wid, Region())
-            )
-            self._prev_visible[wid] = visible
-            if not exposed.is_empty():
+            exposed = exposed_by_window.get(wid)
+            if exposed is not None:
                 damage = exposed if damage is None else damage.union(exposed)
-            if damage is not None and not damage.is_empty():
+            prev = self._prev_surfaces.get(wid)
+            if damage is not None:
                 remaining = damage
                 if self.scroll_detection and prev is not None:
                     remaining = self._extract_scroll(window, prev, damage, frame)
@@ -201,19 +199,15 @@ class CapturePipeline:
                             pixels=self.read_window_rect(window, rect),
                         )
                     )
-            # Refresh the snapshot for the next scroll detection pass.
-            if damage is not None or prev is None or (
-                prev.width, prev.height
-            ) != (window.rect.width, window.rect.height):
+            # Keep the snapshot the next scroll detection compares
+            # against; nothing else reads it.
+            if not self.scroll_detection:
+                continue
+            pixels = window.surface.array
+            if prev is None or prev.array.shape != pixels.shape:
                 self._prev_surfaces[wid] = window.surface.copy()
-        # Drop state of closed windows.
-        live = set(self.manager.window_ids())
-        for wid in list(self._prev_surfaces):
-            if wid not in live:
-                del self._prev_surfaces[wid]
-        for wid in list(self._prev_visible):
-            if wid not in live:
-                del self._prev_visible[wid]
+            elif damage is not None:
+                np.copyto(prev.array, pixels)
 
         if (self.pointer is not None and not self.pointer_in_band
                 and (pointer_moved or pointer_dirty)):
@@ -223,6 +217,31 @@ class CapturePipeline:
                 np.array(self.pointer.image) if pointer_dirty else None,
             )
         return frame
+
+    def _refresh_visibility(self) -> dict[int, Region]:
+        """Recompute each window's visible region; return what it exposed.
+
+        Visibility is a function of stacking order and rects, which is
+        what the layout signature holds, so this runs only when that
+        changes.  Also forgets windows that have closed.
+        """
+        visible_by_window: dict[int, Region] = {}
+        exposed_by_window: dict[int, Region] = {}
+        for window in self.manager:
+            wid = window.window_id
+            visible = self.manager.visible_region(wid).translated(
+                -window.rect.left, -window.rect.top
+            )
+            exposed = visible.subtract(
+                self._prev_visible.get(wid, Region.empty())
+            )
+            if not exposed.is_empty():
+                exposed_by_window[wid] = exposed
+            visible_by_window[wid] = visible
+        self._prev_visible = visible_by_window
+        for wid in self._prev_surfaces.keys() - visible_by_window.keys():
+            del self._prev_surfaces[wid]
+        return exposed_by_window
 
     def read_window_rect(self, window, rect: Rect) -> np.ndarray:
         """Read update pixels for a window-local rect, pointer-aware.

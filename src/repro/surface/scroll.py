@@ -12,12 +12,22 @@ re-encoding the full area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .damage import changed_tiles
 from .framebuffer import Framebuffer
 from .geometry import Rect
+from .region import Region
+
+#: Each candidate is scored in this many interleaved passes (rows
+#: ``p::ROW_PHASES``).  Mismatches counted so far are a lower bound on
+#: the total, so a candidate is dropped, exactly, the moment it cannot
+#: reach the best score: a wrong offset after the first pass (a sample
+#: spread over the whole area), a near-miss after a few, and only a
+#: winner is compared in full.
+ROW_PHASES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,41 +44,33 @@ class ScrollOp:
     source: Rect
     dest_top: int
     exposed: Rect
+    #: Detection found the copy explains every pixel of the moved area.
+    exact: bool = field(default=False, compare=False)
 
     @property
     def destination(self) -> Rect:
         return Rect(self.source.left, self.dest_top,
                     self.source.width, self.source.height)
 
-    def mismatch_region(self, before, after, tile: int = 16):
+    def mismatch_region(
+        self, before: Framebuffer, after: Framebuffer, tile: int = 16
+    ) -> Region:
         """Pixels in the moved area the copy does NOT explain.
 
         Detection tolerates a small mismatch fraction (a cursor, a
         highlight).  Those pixels would go stale if only the
         MoveRectangle were sent, so the caller must repaint them.
         Returned as a tile-granular :class:`~repro.surface.region.Region`
-        in the same coordinates as ``area``.
+        in the same coordinates as ``area``; ``before`` and ``after``
+        are the frames the op was detected on.
         """
-        from .region import Region  # local import to avoid a cycle
-
+        if self.exact:
+            return Region.empty()
         dest = self.destination
-        curr = after.array[dest.top : dest.bottom, dest.left : dest.right]
-        prev = before.array[
-            self.source.top : self.source.bottom,
-            self.source.left : self.source.right,
-        ]
-        diff = np.any(curr != prev, axis=2)
-        if not diff.any():
-            return Region()
-        tiles = []
-        for tile_rect in Rect(0, 0, dest.width, dest.height).tiles(tile):
-            block = diff[
-                tile_rect.top : tile_rect.bottom,
-                tile_rect.left : tile_rect.right,
-            ]
-            if block.any():
-                tiles.append(tile_rect.translated(dest.left, dest.top))
-        return Region(tiles)
+        diff = after.packed(dest) != before.packed(self.source)
+        return Region(
+            r.translated(dest.left, dest.top) for r in changed_tiles(diff, tile)
+        )
 
 
 class ScrollDetector:
@@ -88,6 +90,8 @@ class ScrollDetector:
         self.candidate_offsets = tuple(sorted(set(abs(o) for o in candidate_offsets)))
         self.min_match_fraction = min_match_fraction
         self.min_area_rows = min_area_rows
+        #: Pixel comparisons made so far, over every call to ``detect``.
+        self.pixels_compared = 0
 
     def detect(
         self, before: Framebuffer, after: Framebuffer, area: Rect
@@ -101,40 +105,48 @@ class ScrollDetector:
         clip = area.intersection(before.bounds).intersection(after.bounds)
         if clip.is_empty() or clip.height < self.min_area_rows:
             return None
-        prev = before.array[clip.top : clip.bottom, clip.left : clip.right]
-        curr = after.array[clip.top : clip.bottom, clip.left : clip.right]
+        prev = before.packed(clip)
+        curr = after.packed(clip)
+        self.pixels_compared += clip.area
         if np.array_equal(prev, curr):
             return None
 
+        h = clip.height
         best: ScrollOp | None = None
         best_score = self.min_match_fraction
         for offset in self.candidate_offsets:
-            if offset >= clip.height:
+            if offset >= h:
                 break
             for dy in (-offset, offset):
-                score = self._match_fraction(prev, curr, dy)
+                # dy > 0 moved content down: curr[dy:] should equal
+                # prev[:-dy]; dy < 0 moved it up.
+                lo, hi = max(dy, 0), h + min(dy, 0)
+                score = self._match_fraction(
+                    curr[lo:hi], prev[lo - dy : hi - dy], best_score
+                )
                 if score >= best_score:
                     best_score = score
-                    best = self._build_op(clip, dy)
+                    best = self._build_op(clip, dy, exact=score == 1.0)
         return best
 
-    @staticmethod
-    def _match_fraction(prev: np.ndarray, curr: np.ndarray, dy: int) -> float:
-        """Fraction of overlapping pixels where curr == prev shifted by dy."""
-        h = prev.shape[0]
-        if dy > 0:  # content moved down: curr[dy:] should equal prev[:-dy]
-            a = curr[dy:]
-            b = prev[: h - dy]
-        else:  # content moved up
-            a = curr[: h + dy]
-            b = prev[-dy:]
-        if a.size == 0:
-            return 0.0
-        pixel_match = np.all(a == b, axis=2)
-        return float(pixel_match.mean())
+    def _match_fraction(
+        self, a: np.ndarray, b: np.ndarray, floor: float
+    ) -> float:
+        """Fraction of pixels where ``a == b``, or some value below
+        ``floor`` as soon as the fraction is known to be below it."""
+        n = a.size
+        mismatches = 0
+        for phase in range(ROW_PHASES):
+            rows = a[phase::ROW_PHASES]
+            mismatches += np.count_nonzero(rows != b[phase::ROW_PHASES])
+            self.pixels_compared += rows.size
+            score = (n - mismatches) / n
+            if score < floor:
+                break
+        return score
 
     @staticmethod
-    def _build_op(clip: Rect, dy: int) -> ScrollOp:
+    def _build_op(clip: Rect, dy: int, exact: bool) -> ScrollOp:
         h = clip.height
         if dy > 0:  # moved down: copy top part down, new content at top
             source = Rect(clip.left, clip.top, clip.width, h - dy)
@@ -145,5 +157,6 @@ class ScrollDetector:
             dest_top = clip.top
             exposed = Rect(clip.left, clip.bottom + dy, clip.width, -dy)
         return ScrollOp(
-            area=clip, dy=dy, source=source, dest_top=dest_top, exposed=exposed
+            area=clip, dy=dy, source=source, dest_top=dest_top,
+            exposed=exposed, exact=exact,
         )

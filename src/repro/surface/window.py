@@ -71,7 +71,7 @@ class Window:
         self.title = title
         self.surface = Framebuffer(rect.width, rect.height, fill=fill)
         #: Window-local damage accumulated since last harvest.
-        self._damage = Region()
+        self._damage = Region.empty()
 
     # -- Accessors ----------------------------------------------------
 
@@ -114,7 +114,7 @@ class Window:
 
     def take_damage(self) -> Region:
         """Return and clear accumulated window-local damage."""
-        damage, self._damage = self._damage, Region()
+        damage, self._damage = self._damage, Region.empty()
         return damage
 
     def peek_damage(self) -> Region:

@@ -13,6 +13,11 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# ``--hypothesis-profile=thorough``: a real budget for the differential
+# tests (CI runs tests/surface under it); tier-1 keeps the default.
+settings.register_profile(
+    "thorough", settings.get_profile("repro"), max_examples=2000
+)
 settings.load_profile("repro")
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from repro.sharing.capture import CapturePipeline, window_manager_info
 from repro.surface.cursor import PointerState
-from repro.surface.framebuffer import WHITE
+from repro.surface.framebuffer import WHITE, Framebuffer
 from repro.surface.geometry import Rect
+from repro.surface.region import Region
 from repro.surface.window import WindowManager
 
 
@@ -132,6 +133,131 @@ class TestScrollCapture:
         frame = pipeline.capture()
         assert frame.moves == []
         assert frame.damage_area() == 200 * 200
+
+
+    def test_no_snapshot_when_detection_is_off(self, wm, monkeypatch):
+        """Nothing reads the per-window snapshot without scroll
+        detection, so none is taken; the updates are what they were."""
+        copies = []
+        original = Framebuffer.copy
+        monkeypatch.setattr(
+            Framebuffer, "copy", lambda fb: copies.append(fb) or original(fb)
+        )
+        w = wm.create_window(Rect(40, 30, 200, 200))
+        pipeline = CapturePipeline(wm, scroll_detection=False)
+        pipeline.capture()
+        for i in range(5):
+            w.fill((i, 2 * i, 3 * i, 255), Rect(10 * i, 20, 30, 8))
+            frame = pipeline.capture()
+            assert frame.moves == []
+            [update] = frame.updates
+            assert (update.left, update.top) == (40 + 10 * i, 50)
+            assert update.pixels.shape == (8, 30, 4)
+            assert (update.pixels == (i, 2 * i, 3 * i, 255)).all()
+        assert copies == []
+
+
+def sent_region(frame, window) -> Region:
+    """What the frame's updates repaint of one window (absolute)."""
+    return Region(
+        Rect(u.left, u.top, u.pixels.shape[1], u.pixels.shape[0])
+        for u in frame.updates
+        if u.window_id == window.window_id
+    )
+
+
+class TestIdleCapture:
+    def test_idle_ticks_touch_no_region(self, wm, monkeypatch):
+        """No damage, no layout change, no pointer event: no visibility
+        query, and not one Region or Rect is built."""
+        wm.create_window(Rect(0, 0, 200, 200))
+        wm.create_window(Rect(100, 100, 200, 200))
+        pipeline = CapturePipeline(wm, pointer=PointerState())
+        pipeline.capture()
+        built = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [(WindowManager, "visible_region"),
+                            (Region, "__init__"), (Rect, "__post_init__")]:
+            monkeypatch.setattr(
+                owner, name, counted(name, getattr(owner, name))
+            )
+        monkeypatch.setattr(
+            Region, "from_rect",
+            staticmethod(counted("from_rect", Region.from_rect)),
+        )
+        for _ in range(100):
+            assert pipeline.capture().is_empty
+        assert built == []
+        wm.top_window().fill(WHITE, Rect(0, 0, 5, 5))
+        assert not pipeline.capture().is_empty
+        assert {"visible_region", "__init__", "__post_init__"} <= set(built)
+
+
+class TestExposure:
+    """Visible regions are recomputed only when the layout signature
+    changes; every way of uncovering pixels must change it."""
+
+    OVERLAP = Region.from_rect(Rect(50, 50, 50, 50))
+
+    @pytest.fixture
+    def stacked(self, wm):
+        below = wm.create_window(Rect(0, 0, 100, 100))
+        above = wm.create_window(Rect(50, 50, 100, 100))
+        pipeline = CapturePipeline(wm)
+        pipeline.capture()
+        return wm, pipeline, below, above
+
+    def test_restack_with_unchanged_rects(self, stacked):
+        wm, pipeline, below, above = stacked
+        wm.raise_window(below.window_id)
+        frame = pipeline.capture()
+        assert sent_region(frame, below) == self.OVERLAP
+        assert sent_region(frame, above).is_empty()
+        wm.lower_window(below.window_id)
+        frame = pipeline.capture()
+        assert sent_region(frame, above) == self.OVERLAP
+        assert sent_region(frame, below).is_empty()
+
+    def test_occluder_moves_away(self, stacked):
+        wm, pipeline, below, above = stacked
+        wm.move_window(above.window_id, 300, 300)
+        frame = pipeline.capture()
+        assert sent_region(frame, below) == self.OVERLAP
+        assert pipeline.capture().is_empty
+
+    def test_occluder_closes(self, stacked):
+        wm, pipeline, below, above = stacked
+        wm.close_window(above.window_id)
+        assert sent_region(pipeline.capture(), below) == self.OVERLAP
+
+    def test_closed_id_reused_elsewhere(self, stacked):
+        wm, pipeline, below, above = stacked
+        wm.close_window(above.window_id)
+        pipeline.capture()
+        again = wm.create_window(
+            Rect(20, 20, 60, 60), window_id=above.window_id
+        )
+        frame = pipeline.capture()
+        assert sent_region(frame, again) == Region.from_rect(again.rect)
+
+    def test_closed_id_reused_in_place_between_captures(self, stacked):
+        """Same id, same rect, same stacking slot: the signature does
+        not move, and the new window's own damage carries its pixels."""
+        wm, pipeline, below, above = stacked
+        wm.close_window(above.window_id)
+        again = wm.create_window(above.rect, window_id=above.window_id)
+        again.fill(WHITE)
+        frame = pipeline.capture()
+        assert frame.window_info is None
+        assert sent_region(frame, again) == Region.from_rect(again.rect)
+        assert sent_region(frame, below).is_empty()
+        assert (frame.updates[0].pixels == 255).all()
 
 
 class TestPointerCapture:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.apps.photo_viewer import PhotoViewerApp
+from repro.apps.terminal import TerminalApp
 from repro.surface.framebuffer import Framebuffer
 from repro.surface.geometry import Rect
 from repro.surface.scroll import ScrollDetector
+from repro.surface.window import WindowManager
 
 
 def striped(height: int, width: int = 40, phase: int = 0) -> Framebuffer:
@@ -120,3 +123,30 @@ class TestMismatchRegion:
             op.exposed.left, op.exposed.top, after.read_rect(op.exposed)
         )
         assert recon.identical_to(after)
+
+
+class TestWorkDone:
+    """``pixels_compared`` follows what changed, not the candidate
+    count: the byte-wise detector before it compared 20x the area
+    (plus the equality check) on both of these."""
+
+    def test_terminal_line_scroll(self):
+        window = WindowManager().create_window(Rect(0, 0, 500, 500))
+        terminal = TerminalApp(window)
+        terminal.run_build_output(terminal.rows)  # full: the next line scrolls
+        before = window.surface.copy()
+        window.take_damage()
+        terminal.run_build_output(1, start=terminal.rows)
+        detector = ScrollDetector()
+        op = detector.detect(before, window.surface, window.peek_damage().bounds())
+        assert op is not None and op.dy == -terminal.cell_h
+        assert detector.pixels_compared <= 6 * 500 * 500
+
+    def test_photo_flip(self):
+        window = WindowManager().create_window(Rect(0, 0, 320, 240))
+        viewer = PhotoViewerApp(window)
+        before = window.surface.copy()
+        viewer.next_photo()
+        detector = ScrollDetector()
+        assert detector.detect(before, window.surface, window.local_bounds) is None
+        assert detector.pixels_compared <= 4 * 320 * 240
