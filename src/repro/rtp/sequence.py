@@ -192,40 +192,52 @@ class GapDetector:
     """Tracks holes in the sequence space to drive Generic NACKs.
 
     Feeds on arriving sequence numbers; :meth:`missing` reports every
-    sequence number between the lowest unacknowledged position and the
-    highest seen that has not arrived — the set a participant packs
-    into NACK FCI entries (section 5.3.2).
+    sequence number between the oldest packet seen and the highest seen
+    that has not arrived, less than ``max_tracked`` behind the highest —
+    the set a participant packs into NACK FCI entries (section 5.3.2).
+
+    The holes themselves are the state, oldest first: a forward jump
+    adds the sequence numbers it skipped, an arrival discards its own,
+    and holes that slide to the window's edge drop off the front.  A
+    packet costs O(1) amortised and :meth:`missing` O(holes).
     """
 
     def __init__(self, max_tracked: int = 1024) -> None:
         if not 0 < max_tracked < _SEQ_MOD // 2:
             raise ValueError("max_tracked must be in (0, 2^15)")
         self.max_tracked = max_tracked
-        self._seen: set[int] = set()
+        #: The holes, oldest first (a dict as an insertion-ordered set).
+        self._missing: dict[int, None] = {}
         self._highest: int | None = None
         self._oldest_back = 0  # distance from highest to oldest packet seen
 
     def record(self, seq: int) -> None:
         seq %= _SEQ_MOD
-        if self._highest is None:
-            self._highest = seq
-            self._oldest_back = 0
-        elif seq_newer(seq, self._highest):
-            advance = (seq - self._highest) % _SEQ_MOD
-            self._highest = seq
-            self._oldest_back = min(
-                self._oldest_back + advance, self.max_tracked
-            )
-        self._seen.add(seq)
-        self._trim()
-
-    def _trim(self) -> None:
-        assert self._highest is not None
         highest = self._highest
-        self._seen = {
-            s for s in self._seen
-            if (highest - s) % _SEQ_MOD <= self.max_tracked
-        }
+        if highest is None:
+            self._highest = seq
+            return
+        advance = (seq - highest) % _SEQ_MOD
+        if not 0 < advance < _SEQ_MOD // 2:
+            # The head again, or an older packet (half-range counts as
+            # older): it can only fill its own hole.
+            self._missing.pop(seq, None)
+            return
+        self._highest = seq
+        edge = self._oldest_back = min(
+            self._oldest_back + advance, self.max_tracked
+        )
+        missing = self._missing
+        while missing:  # holes now ``edge`` or more behind leave the window
+            oldest = next(iter(missing))
+            if (seq - oldest) % _SEQ_MOD < edge:
+                break
+            del missing[oldest]
+        skipped = min(advance, edge) - 1
+        if skipped > 0:
+            missing.update(dict.fromkeys(
+                s & 0xFFFF for s in range(seq - skipped, seq)
+            ))
 
     def missing(self) -> list[int]:
         """Missing sequence numbers, oldest first, within the window.
@@ -233,15 +245,13 @@ class GapDetector:
         Only gaps *after* the oldest packet ever seen are reported —
         a receiver that joined mid-stream has no claim on history.
         """
-        if self._highest is None:
-            return []
-        out = []
-        for back in range(self._oldest_back - 1, 0, -1):
-            seq = (self._highest - back) % _SEQ_MOD
-            if seq not in self._seen:
-                out.append(seq)
-        return out
+        return list(self._missing)
 
     def acknowledge(self, seq: int) -> None:
-        """Mark ``seq`` recovered (e.g. retransmission arrived)."""
-        self.record(seq)
+        """Stop reporting ``seq`` missing (recovered or given up on).
+
+        Only an existing hole is cleared: the head moves on arrivals
+        alone, so a sequence number ahead of it (or any, before the
+        first packet) opens no gaps.
+        """
+        self._missing.pop(seq % _SEQ_MOD, None)

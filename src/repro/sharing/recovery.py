@@ -126,6 +126,7 @@ class RecoveryManager:
         state = self._pending.pop(ext, None)
         now = self._now()
         if state is not None:
+            self._g_pending.set(len(self._pending))
             self._mark_recovered(ext, state, now)
             return True
         if ext in self._recovered_at:
@@ -141,6 +142,7 @@ class RecoveryManager:
         already skipped the hole and a refresh is underway)."""
         ext = self._extender.extend(seq)
         if self._pending.pop(ext, None) is not None:
+            self._g_pending.set(len(self._pending))
             self.cancelled += 1
             self._c_cancelled.inc()
 
@@ -151,8 +153,11 @@ class RecoveryManager:
 
         ``missing`` is the gap detector's view (16-bit sequence
         numbers).  Pending entries absent from it have been recovered;
-        entries present transition per the retry schedule.
+        entries present transition per the retry schedule.  Nothing
+        missing and nothing pending is a no-op that reads no clock.
         """
+        if not missing and not self._pending:
+            return RecoveryActions()
         now = self._now()
         ext_missing = {self._extender.extend(s): s & 0xFFFF for s in missing}
         for ext in [e for e in self._pending if e not in ext_missing]:

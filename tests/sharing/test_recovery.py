@@ -40,6 +40,31 @@ class TestFirstNack:
         actions = m.poll([])
         assert actions.nack_now == [] and actions.gave_up == []
 
+    def test_idle_poll_reads_no_clock(self, clock):
+        reads = []
+        m = RecoveryManager(now=lambda: reads.append(1) or clock.now())
+        for _ in range(3):
+            assert m.poll([]).nack_now == []
+        assert reads == []
+        m.poll([10])  # something to do: the clock is read
+        assert reads
+
+
+class TestPendingGauge:
+    @pytest.mark.parametrize("clear", ["arrival", "cancel"])
+    def test_gauge_reads_zero_after_the_last_loss_clears(self, clock, clear):
+        obs = Instrumentation(clock=clock.now)
+        m = RecoveryManager(now=clock.now, instrumentation=obs)
+        gauge = obs.registry.gauge("recovery.pending")
+        m.poll([10])
+        assert gauge.value == 1
+        if clear == "arrival":
+            m.note_arrival(10)
+        else:
+            m.cancel(10)
+        assert m.poll([]).nack_now == []  # the early return
+        assert gauge.value == 0 == m.pending
+
 
 class TestRetryBackoff:
     def test_retry_after_interval(self, clock):

@@ -125,6 +125,24 @@ class TestReceiveLegRecovery:
         assert leg.poll_recovery().nack_now == []
         assert leg.recovery.pending == 0
 
+    def test_giving_up_on_a_wanted_seq_ahead_of_the_head_opens_no_gaps(
+        self, clock
+    ):
+        """A downstream NACKed a seq this leg never saw.  Giving up on
+        it must not move the head past it and NACK every seq between."""
+        leg = make_leg(clock, ScriptedTransport())
+        for seq in range(100, 110):
+            leg.receive_rtp(media(seq))
+        gave_up = []
+        while not gave_up:
+            clock.advance(0.1)
+            gave_up = leg.poll_recovery([600]).gave_up
+        assert gave_up == [600] and clock.now() == pytest.approx(3.2)
+        for _ in range(3):
+            clock.advance(0.1)
+            assert leg.poll_recovery().nack_now == []
+        assert leg.receiver.missing_sequence_numbers() == []
+
     def test_forget_stops_the_chase_without_a_give_up(self, clock):
         leg = make_leg(clock, ScriptedTransport())
         for seq in (1, 3):
