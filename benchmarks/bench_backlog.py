@@ -18,7 +18,7 @@ from repro.obs import Instrumentation
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from sessions import run_rounds, tcp_session
+from sessions import session_world, tcp_session
 
 SECONDS = 6.0
 DT = 1 / 30
@@ -34,7 +34,7 @@ def _animation_session(coalescing: bool):
     win = ah.windows.create_window(Rect(0, 0, 480, 360))
     ah.apps.attach(AnimationApp(win, fps=30, balls=4))
     rounds = int(SECONDS / DT)
-    run_rounds(clock, ah, [participant], rounds, dt=DT)
+    session_world(clock, ah, [participant], dt=DT).run(rounds)
     scheduler = ah.sessions["p1"].scheduler
     # The scheduler's staleness histogram is maintained by the shared
     # Instrumentation — no hand-built recorder needed.

@@ -17,12 +17,13 @@ from repro.apps.terminal import TerminalApp
 from repro.apps.text_editor import TextEditorApp
 from repro.baseline.session import BaselineSession
 from repro.net.channel import ChannelConfig, duplex_reliable
+from repro.net.world import World
 from repro.rtp.clock import SimulatedClock
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 from repro.surface.window import WindowManager
 
-from sessions import run_rounds, tcp_session
+from sessions import session_world, tcp_session
 
 ROUNDS = 300
 DT = 0.01
@@ -44,14 +45,14 @@ def _rtp_push_session():
     terminal = TerminalApp(ah.windows.create_window(Rect(330, 10, 300, 200)))
     ah.apps.attach(editor)
     ah.apps.attach(terminal)
-    run_rounds(clock, ah, [participant], 30, dt=DT)
+    session_world(clock, ah, [participant], dt=DT).run(30)
     base = ah.total_bytes_sent()
 
     def drive(i):
         _drive_apps(editor, terminal, i)
 
-    run_rounds(clock, ah, [participant], ROUNDS, dt=DT, per_round=drive)
-    run_rounds(clock, ah, [participant], 50, dt=DT)
+    session_world(clock, ah, [participant], dt=DT, per_round=drive).run(ROUNDS)
+    session_world(clock, ah, [participant], dt=DT).run(50)
     assert participant.screen_converged_with(ah.windows)
     scheduler = ah.sessions["p1"].scheduler
     staleness = sorted(scheduler.updates_sent_stale_after)
@@ -67,18 +68,15 @@ def _pull_baseline_session():
     terminal = TerminalApp(wm.create_window(Rect(330, 10, 300, 200)))
     link = duplex_reliable(ChannelConfig(delay=DELAY), clock.now)
     session = BaselineSession(wm, link, clock.now)
-    # Warm-up: first full-screen pull.
-    for _ in range(30):
-        session.tick()
-        clock.advance(DT)
+    def drive(_dt):
+        if 30 <= world.rounds < 30 + ROUNDS:
+            _drive_apps(editor, terminal, world.rounds - 30)
+
+    world = World(clock, DT)
+    world.add(drive, lambda _dt: session.tick(), world.tick)
+    world.run(30)  # warm-up: first full-screen pull
     base = session.server.bytes_sent
-    for i in range(ROUNDS):
-        _drive_apps(editor, terminal, i)
-        session.tick()
-        clock.advance(DT)
-    for _ in range(50):
-        session.tick()
-        clock.advance(DT)
+    world.run(ROUNDS + 50)
     assert session.client.matches(wm)
     rtts = sorted(session.update_round_trips)
     p95 = rtts[int(0.95 * (len(rtts) - 1))] if rtts else 0.0

@@ -52,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.apps.text_editor import TextEditorApp  # noqa: E402
 from repro.health.liveness import LivenessConfig  # noqa: E402
 from repro.net.channel import ChannelConfig  # noqa: E402
+from repro.net.world import World  # noqa: E402
 from repro.relay import build_relay_tree  # noqa: E402
 from repro.relay.node import RelayConfig  # noqa: E402
 from repro.relay.tree import duplex_transport_pair  # noqa: E402
@@ -216,39 +217,43 @@ def run_chaos(fanout: int, viewers_per_leaf: int, crash_at: float,
             if leaf.id in orphan_leaves:
                 orphaned.append(viewer)
 
-    cpu0 = time.process_time()
-    crashed = False
     recovery_times: dict[int, float] = {}
-    packets_at_crash: dict[int, int] = {}
-    t_end = clock.now() + sim_seconds
-    edit_until = t_end - 5.0  # quiet tail so gap-free is reachable
+    edit_until = clock.now() + sim_seconds - 5.0  # quiet tail: gap-free
     next_edit = clock.now()
-    while clock.now() < t_end:
+
+    def edit(_dt):
+        nonlocal next_edit
         now = clock.now()
-        if not crashed and now >= crash_at:
-            victim.crash()
-            crashed = True
-            for index, viewer in enumerate(orphaned):
-                packets_at_crash[index] = viewer.receiver.packets_received
         if now <= edit_until and now >= next_edit:
             editor.type_text(f"[{now:6.2f}] shared edit line\n")
             next_edit += EDIT_EVERY
-        ah.advance(DT)
-        tree.pump()  # includes failover_orphans()
-        ah.poll_liveness()
+
+    def pump_viewers(_dt):
         for viewer in viewers:
             viewer.pump()
-        if crashed:
-            for index, viewer in enumerate(orphaned):
-                if index in recovery_times:
-                    continue
-                if (
-                    viewer.streams_seen > 1
-                    and viewer.receiver.packets_received > 0
-                    and viewer.complete
-                ):
-                    recovery_times[index] = clock.now() - crash_at
-        clock.advance(DT)
+        if not victim.crashed:
+            return
+        for index, viewer in enumerate(orphaned):
+            if (
+                index not in recovery_times
+                and viewer.streams_seen > 1
+                and viewer.receiver.packets_received > 0
+                and viewer.complete
+            ):
+                recovery_times[index] = clock.now() - crash_at
+
+    world = World(clock, DT)
+    world.add(
+        edit,
+        ah.advance,
+        lambda _dt: tree.pump(),  # includes failover_orphans()
+        lambda _dt: ah.poll_liveness(),
+        pump_viewers,
+        world.tick,
+    )
+    world.at(crash_at, victim.crash)
+    cpu0 = time.process_time()
+    world.run_until(lambda: False, timeout=sim_seconds)  # to the deadline
     cpu = time.process_time() - cpu0
 
     unaffected = [v for v in viewers if v not in orphaned]

@@ -17,7 +17,7 @@ from repro.surface.framebuffer import Framebuffer
 from repro.surface.geometry import Rect
 from repro.surface.window import WindowManager
 
-from sessions import run_rounds, tcp_session
+from sessions import session_world, tcp_session
 
 FRAMES = 120
 
@@ -28,7 +28,7 @@ def _editor_session(damage_tracking: bool):
     win = ah.windows.create_window(Rect(50, 50, 640, 480))
     editor = TextEditorApp(win)
     ah.apps.attach(editor)
-    run_rounds(clock, ah, [participant], 20)  # initial sync
+    session_world(clock, ah, [participant]).run(20)  # initial sync
     base = ah.total_bytes_sent()
 
     def drive(i):
@@ -39,9 +39,9 @@ def _editor_session(damage_tracking: bool):
             # change — the whole window is damaged every frame.
             win.add_damage(win.local_bounds)
 
-    run_rounds(clock, ah, [participant], FRAMES, per_round=drive)
+    session_world(clock, ah, [participant], per_round=drive).run(FRAMES)
     # Drain the coalesced backlog.
-    run_rounds(clock, ah, [participant], 100)
+    session_world(clock, ah, [participant]).run(100)
     assert participant.converged_with(ah.windows)
     return ah.total_bytes_sent() - base
 

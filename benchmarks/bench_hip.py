@@ -16,7 +16,7 @@ from repro.sharing.events import EventInjector
 from repro.surface.geometry import Rect
 from repro.surface.window import WindowManager
 
-from sessions import run_rounds, tcp_session
+from sessions import session_world, tcp_session
 
 EVENTS = 2000
 
@@ -75,7 +75,7 @@ def _event_latency_session():
     win = ah.windows.create_window(Rect(50, 50, 600, 400))
     board = WhiteboardApp(win)
     ah.apps.attach(board)
-    run_rounds(clock, ah, [participant], 20)
+    session_world(clock, ah, [participant]).run(20)
 
     # One drag stroke: press, many moves, release; measure time until
     # the AH has handled each batch.
@@ -84,12 +84,9 @@ def _event_latency_session():
     for i in range(100):
         participant.move_mouse(win.window_id, 10 + i, 10 + i % 50)
     participant.release_mouse(win.window_id, 110, 59)
-    rounds = 0
-    while board.strokes_completed == 0 and rounds < 200:
-        ah.advance(0.005)
-        clock.advance(0.005)
-        participant.process_incoming()
-        rounds += 1
+    session_world(clock, ah, [participant], dt=0.005).run_until(
+        lambda: board.strokes_completed > 0, timeout=1.0
+    )
     latency = clock.now() - sent_at
     return board, latency
 

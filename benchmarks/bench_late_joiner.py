@@ -14,7 +14,7 @@ from repro.apps.text_editor import TextEditorApp
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from sessions import add_tcp_participant, add_udp_participant, run_rounds, udp_session
+from sessions import add_tcp_participant, add_udp_participant, session_world, udp_session
 
 
 def _late_join(history_rounds: int, transport: str):
@@ -27,7 +27,7 @@ def _late_join(history_rounds: int, transport: str):
         if i % 4 == 0:
             editor.type_text(f"history row {i}\n")
 
-    run_rounds(clock, ah, [early], history_rounds, per_round=drive)
+    session_world(clock, ah, [early], per_round=drive).run(history_rounds)
 
     join_time = clock.now()
     if transport == "udp":
@@ -35,16 +35,11 @@ def _late_join(history_rounds: int, transport: str):
     else:
         late = add_tcp_participant(clock, ah, "late")
 
-    converge_time = None
-    for _ in range(400):
-        ah.advance(0.02)
-        clock.advance(0.02)
-        early.process_incoming()
-        late.process_incoming()
-        if converge_time is None and late.converged_with(ah.windows):
-            converge_time = clock.now()
-            break
-    assert converge_time is not None, "late joiner never converged"
+    world = session_world(clock, ah, [early, late])
+    assert world.run_until(
+        lambda: late.converged_with(ah.windows), timeout=8.0
+    ), "late joiner never converged"
+    converge_time = clock.now()
     # Everything this session ever sent IS the joiner's sync cost
     # (the TCP connect-time refresh included).
     sync_bytes = ah.sessions["late"].scheduler.bytes_sent

@@ -13,7 +13,7 @@ from repro.apps.text_editor import TextEditorApp
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from sessions import run_rounds, udp_session
+from sessions import session_world, udp_session
 
 EDIT_ROUNDS = 360
 
@@ -31,8 +31,8 @@ def _lossy_session(loss_rate: float, retransmissions: bool, seed: int = 33):
         if i % 6 == 0 and i < EDIT_ROUNDS - 120:
             editor.type_text(f"line {i} under loss\n")
 
-    run_rounds(clock, ah, [participant], EDIT_ROUNDS, per_round=drive)
-    run_rounds(clock, ah, [participant], 200)  # recovery tail
+    session_world(clock, ah, [participant], per_round=drive).run(EDIT_ROUNDS)
+    session_world(clock, ah, [participant]).run(200)  # recovery tail
     return ah, participant
 
 

@@ -13,7 +13,7 @@ from repro.apps.terminal import TerminalApp
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from sessions import run_rounds, tcp_session
+from sessions import session_world, tcp_session
 
 LINES = 80
 
@@ -25,7 +25,7 @@ def _scroll_session(scroll_detection: bool):
     terminal = TerminalApp(win)
     # Fill the viewport so every further line scrolls.
     terminal.run_build_output(terminal.rows)
-    run_rounds(clock, ah, [participant], 30)
+    session_world(clock, ah, [participant]).run(30)
     base_bytes = ah.total_bytes_sent()
     emitted = 0
 
@@ -35,8 +35,8 @@ def _scroll_session(scroll_detection: bool):
             terminal.run_build_output(1, start=terminal.rows + emitted)
             emitted += 1
 
-    run_rounds(clock, ah, [participant], LINES * 2 + 40, per_round=drive)
-    run_rounds(clock, ah, [participant], 60)
+    session_world(clock, ah, [participant], per_round=drive).run(LINES * 2 + 40)
+    session_world(clock, ah, [participant]).run(60)
     assert participant.converged_with(ah.windows)
     return ah, participant, ah.total_bytes_sent() - base_bytes
 

@@ -24,7 +24,7 @@ from repro.sharing.transport import (
 )
 from repro.surface.geometry import Rect
 
-from sessions import add_tcp_participant, add_udp_participant
+from sessions import add_tcp_participant, add_udp_participant, session_world
 
 ROUNDS = 120
 
@@ -43,14 +43,13 @@ def _unicast_fleet(n: int):
             participants.append(
                 add_udp_participant(clock, ah, f"udp-{i}", seed=i)
             )
-    wall_start = time.perf_counter()
-    for i in range(ROUNDS):
+    def drive(i):
         if i % 4 == 0:
             editor.type_text(f"round {i}\n")
-        ah.advance(0.02)
-        clock.advance(0.02)
-        for participant in participants:
-            participant.process_incoming()
+
+    world = session_world(clock, ah, participants, per_round=drive)
+    wall_start = time.perf_counter()
+    world.run(ROUNDS)
     wall = time.perf_counter() - wall_start
     assert all(p.converged_with(ah.windows) for p in participants)
     return ah, wall
@@ -95,17 +94,16 @@ def _multicast_fleet(n: int):
         participant.join()
         participants.append(participant)
 
-    wall_start = time.perf_counter()
-    for i in range(ROUNDS):
+    def drive(i):
         for feedback in feedbacks:
             for packet in feedback.backward.receive_ready():
                 ah._handle_rtcp("group", packet)
         if i % 4 == 0:
             editor.type_text(f"round {i}\n")
-        ah.advance(0.02)
-        clock.advance(0.02)
-        for participant in participants:
-            participant.process_incoming()
+
+    world = session_world(clock, ah, participants, per_round=drive)
+    wall_start = time.perf_counter()
+    world.run(ROUNDS)
     wall = time.perf_counter() - wall_start
     assert all(p.converged_with(ah.windows) for p in participants)
     return ah, wall

@@ -14,7 +14,7 @@ from repro.apps.whiteboard import WhiteboardApp
 from repro.sharing.config import PointerMode, SharingConfig
 from repro.surface.geometry import Rect
 
-from sessions import run_rounds, tcp_session
+from sessions import session_world, tcp_session
 
 MOVES = 120
 
@@ -24,7 +24,7 @@ def _wave_session(mode: PointerMode):
     clock, ah, participant = tcp_session(config=config)
     win = ah.windows.create_window(Rect(50, 50, 500, 400))
     ah.apps.attach(WhiteboardApp(win))
-    run_rounds(clock, ah, [participant], 30)
+    session_world(clock, ah, [participant]).run(30)
     base = ah.total_bytes_sent()
     step = 0
 
@@ -36,8 +36,8 @@ def _wave_session(mode: PointerMode):
             participant.move_mouse(win.window_id, x, y)
             step += 1
 
-    run_rounds(clock, ah, [participant], MOVES * 2 + 40, per_round=drive)
-    run_rounds(clock, ah, [participant], 40)
+    session_world(clock, ah, [participant], per_round=drive).run(MOVES * 2 + 40)
+    session_world(clock, ah, [participant]).run(40)
     return ah, participant, ah.total_bytes_sent() - base
 
 

@@ -16,7 +16,7 @@ from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from sessions import add_udp_participant
+from sessions import add_udp_participant, session_world
 
 SECONDS = 5.0
 DT = 1 / 30
@@ -39,11 +39,7 @@ def _tiered_session():
             clock, ah, name, seed=hash(name) % 100, rate_bps=rate
         )
     rounds = int(SECONDS / DT)
-    for _ in range(rounds):
-        ah.advance(DT)
-        clock.advance(DT)
-        for participant in participants.values():
-            participant.process_incoming()
+    session_world(clock, ah, list(participants.values()), DT).run(rounds)
     return clock, ah, participants
 
 

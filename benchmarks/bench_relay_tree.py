@@ -53,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps.text_editor import TextEditorApp  # noqa: E402
 from repro.net.channel import ChannelConfig  # noqa: E402
+from repro.net.world import World  # noqa: E402
 from repro.relay import build_relay_tree  # noqa: E402
 from repro.relay.tree import duplex_transport_pair  # noqa: E402
 from repro.rtp.clock import SimulatedClock  # noqa: E402
@@ -148,21 +149,28 @@ def make_workload(clock) -> tuple[ApplicationHost, TextEditorApp]:
     return ah, editor
 
 
-def drive(clock, ah, editor, viewers, pump_middle, sim_seconds: float,
+def drive(clock, ah, editor, viewers, middle, sim_seconds: float,
           edit_until: float) -> float:
-    """Run the edit workload plus a drain tail; returns CPU seconds."""
-    cpu0 = time.process_time()
-    t_end = clock.now() + sim_seconds
+    """Run the edit workload plus a drain tail; returns CPU seconds.
+
+    One step is edit → AH → ``middle`` entries → viewers → clock tick.
+    """
     next_edit = clock.now()
-    while clock.now() < t_end:
+
+    def edit(_dt):
+        nonlocal next_edit
         if clock.now() <= edit_until and clock.now() >= next_edit:
             editor.type_text(f"[{clock.now():6.2f}] shared edit line\n")
             next_edit += EDIT_EVERY
-        ah.advance(DT)
-        pump_middle()
+
+    def pump_viewers(_dt):
         for viewer in viewers:
             viewer.pump()
-        clock.advance(DT)
+
+    world = World(clock, DT)
+    world.add(edit, ah.advance, *middle, pump_viewers, world.tick)
+    cpu0 = time.process_time()
+    world.run_until(lambda: False, timeout=sim_seconds)  # to the deadline
     return time.process_time() - cpu0
 
 
@@ -191,7 +199,7 @@ def run_tree_arm(fanout: int, viewers_per_leaf: int,
             viewers.append(viewer)
 
     cpu = drive(
-        clock, ah, editor, viewers, tree.pump, sim_seconds,
+        clock, ah, editor, viewers, [lambda _dt: tree.pump()], sim_seconds,
         edit_until=sim_seconds * 0.6,
     )
     viewer_nacks = sum(v.nacks_sent for v in viewers)
@@ -229,7 +237,7 @@ def run_direct_arm(direct_viewers: int, sim_seconds: float) -> dict:
         viewers.append(viewer)
 
     cpu = drive(
-        clock, ah, editor, viewers, lambda: None, sim_seconds,
+        clock, ah, editor, viewers, [], sim_seconds,
         edit_until=sim_seconds * 0.6,
     )
     return {

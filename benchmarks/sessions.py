@@ -9,6 +9,7 @@ buffer, rate control, channels — reports into one snapshot.
 from __future__ import annotations
 
 from repro.net.channel import ChannelConfig, duplex_lossy, duplex_reliable
+from repro.net.world import World, receive
 from repro.rtp.clock import SimulatedClock
 from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import SharingConfig
@@ -137,12 +138,11 @@ def add_tcp_participant(clock, ah, name: str, delay: float = 0.01,
     return participant
 
 
-def run_rounds(clock, ah, participants, rounds: int, dt: float = 0.02,
-               per_round=None):
-    for i in range(rounds):
-        if per_round is not None:
-            per_round(i)
-        ah.advance(dt)
-        clock.advance(dt)
-        for participant in participants:
-            participant.process_incoming()
+def session_world(clock, ah, participants, dt: float = 0.02,
+                  per_round=None) -> World:
+    """The AH → tick → participants loop; ``per_round(i)`` runs first."""
+    world = World(clock, dt)
+    if per_round is not None:
+        world.add(lambda _dt: per_round(world.rounds))
+    world.add(ah.advance, world.tick, receive(participants))
+    return world

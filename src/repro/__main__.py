@@ -17,6 +17,7 @@ import sys
 def _cmd_demo(args: argparse.Namespace) -> int:
     from . import quick_session
     from .apps import TextEditorApp
+    from .net.world import World, receive
     from .surface import Rect
 
     ah, participant, clock = quick_session()
@@ -25,17 +26,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ah.apps.attach(editor)
     editor.type_text("demo: screen flows AH -> participant")
 
-    def run(rounds: int) -> None:
-        for _ in range(rounds):
-            ah.advance(0.02)
-            clock.advance(0.02)
-            participant.process_incoming()
-
-    run(60)
+    world = World(clock, 0.02)
+    world.add(ah.advance, world.tick, receive([participant]))
+    world.run(60)
     print(f"window {window.window_id} shared at {window.rect.as_tuple()}")
     print(f"converged pixel-exact: {participant.converged_with(ah.windows)}")
     participant.type_text(window.window_id, " / HIP flows back")
-    run(60)
+    world.run(60)
     print(f"editor text at AH: {editor.text()!r}")
     ok = participant.converged_with(ah.windows)
     print(f"final convergence: {ok}")

@@ -25,8 +25,8 @@ subtree:
 
 Everything reports under the ``health.*`` metric family (see
 ``docs/OBSERVABILITY.md``) and is exercised deterministically by the
-chaos primitives in :mod:`repro.net.channel` /
-:mod:`repro.net.simulator` and ``benchmarks/bench_chaos.py``.
+chaos primitives in :mod:`repro.net.channel`, scheduled with
+:meth:`repro.net.world.World.at`, and ``benchmarks/bench_chaos.py``.
 """
 
 from .admission import AdmissionControl, AdmissionDecision, OverloadConfig

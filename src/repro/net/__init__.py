@@ -10,9 +10,9 @@ from .channel import (
 )
 from .multicast import MulticastGroup
 from .ratecontrol import TokenBucket
-from .simulator import Simulation
 from .tcp import TcpConnection, TcpListener, connect
 from .udp import MAX_DATAGRAM, UdpEndpoint
+from .world import World
 
 __all__ = [
     "ChannelConfig",
@@ -21,11 +21,11 @@ __all__ = [
     "MAX_DATAGRAM",
     "MulticastGroup",
     "ReliableChannel",
-    "Simulation",
     "TcpConnection",
     "TcpListener",
     "TokenBucket",
     "UdpEndpoint",
+    "World",
     "connect",
     "duplex_lossy",
     "duplex_reliable",

@@ -218,9 +218,9 @@ class LossyChannel:
         """Hard partition: every datagram sent from now on is dropped.
 
         Unlike a 100%-loss :class:`FaultProfile` this is a scripted
-        *state*, not a probabilistic process — the chaos schedules in
-        :class:`~repro.net.simulator.Simulation` flip it on and off
-        deterministically.  Datagrams already in flight still arrive
+        *state*, not a probabilistic process — a chaos schedule flips it
+        on and off deterministically with
+        :meth:`~repro.net.world.World.at`.  Datagrams already in flight still arrive
         (they left before the cut)."""
         self._partitioned = True
 

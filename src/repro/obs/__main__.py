@@ -27,6 +27,7 @@ import time
 from ..apps.terminal import TerminalApp
 from ..apps.text_editor import TextEditorApp
 from ..net.channel import ChannelConfig, duplex_reliable
+from ..net.world import World, receive
 from ..rtp.clock import SimulatedClock
 from ..sharing.ah import ApplicationHost
 from ..sharing.config import SharingConfig
@@ -65,15 +66,17 @@ def _run_session(instrumentation, rounds: int, dt: float = 0.01) -> float:
     ah.apps.attach(editor)
     ah.apps.attach(terminal)
 
-    start = time.perf_counter()
-    for i in range(rounds):
+    def edit(_dt: float) -> None:
+        i = world.rounds
         if i % 10 == 0:
             editor.type_text(f"selftest {i} ")
         if i % 14 == 0:
             terminal.append_line(f"$ job {i}")
-        ah.advance(dt)
-        clock.advance(dt)
-        participant.process_incoming()
+
+    world = World(clock, dt)
+    world.add(edit, ah.advance, world.tick, receive([participant]))
+    start = time.perf_counter()
+    world.run(rounds)
     elapsed = time.perf_counter() - start
     if not participant.windows:
         raise AssertionError("selftest session produced no shared state")

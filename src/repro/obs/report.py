@@ -24,6 +24,7 @@ import random
 from ..apps.terminal import TerminalApp
 from ..apps.text_editor import TextEditorApp
 from ..net.channel import ChannelConfig, FaultProfile, duplex_lossy, duplex_reliable
+from ..net.world import World, receive
 from ..rtp.clock import SimulatedClock
 from ..sharing.ah import ApplicationHost
 from ..sharing.config import SharingConfig
@@ -97,19 +98,20 @@ def run_scenario(
     ah.apps.attach(editor)
     ah.apps.attach(terminal)
 
-    for i in range(rounds):
+    def edit(_dt: float) -> None:
+        i = world.rounds
+        if i >= rounds:
+            return
         if i % 10 == 0:
             editor.type_text(f"report {i} ")
         if i % 14 == 0:
             terminal.append_line(f"$ job {i}")
-        ah.advance(dt)
-        clock.advance(dt)
-        participant.process_incoming()
-    # Quiet tail: let in-flight repairs land so recovered spans close.
-    for _ in range(60):
-        ah.advance(dt)
-        clock.advance(dt)
-        participant.process_incoming()
+
+    world = World(clock, dt)
+    world.add(edit, ah.advance, world.tick, receive([participant]))
+    # A quiet tail of 60 rounds lets in-flight repairs land, so
+    # recovered spans close.
+    world.run(rounds + 60)
     return obs
 
 

@@ -4,9 +4,7 @@ One :class:`SessionServer` process hosts hundreds of independent
 sharing sessions: a join-code :class:`SessionRegistry`, one
 :class:`HostedSession` (AH + :class:`SessionCore`) per code, one loop
 that steps them all (:meth:`SessionServer.step`), a signalling front
-door (INVITE/BYE through the existing SIP/SDP stack), and cooperative
-transport adapters so no session's backlog starves the others' rounds.
-The synchronous
+door (INVITE/BYE through the existing SIP/SDP stack).  The synchronous
 :class:`~repro.sharing.service.SharingService` wraps the same
 :class:`SessionCore` for single-session use.
 
@@ -15,7 +13,6 @@ See ``docs/API.md`` for the public surface and
 p95-latency gates.
 """
 
-from .aio import CooperativeTransport, DEFAULT_BUDGET
 from .core import CoreCall, SessionCore
 from .errors import (
     DuplicateJoinCode,
@@ -32,9 +29,7 @@ from .server import JoinedParticipant, SessionServer
 
 __all__ = [
     "CODE_ALPHABET",
-    "CooperativeTransport",
     "CoreCall",
-    "DEFAULT_BUDGET",
     "DuplicateJoinCode",
     "DuplicateParticipant",
     "HostedSession",

@@ -1,11 +1,11 @@
-"""The per-session engine shared by the sync service and async server.
+"""The per-session engine shared by the sync service and the server.
 
 One :class:`SessionCore` is the signalling-plus-media machinery for a
 single hosted Application Host: it owns the SIP endpoints, the
 service-side :class:`~repro.sharing.signalling.SignallingBinding`
 queues, the negotiated media wiring, and the participant lifecycle.
-The synchronous :class:`~repro.sharing.service.SharingService` is a
-thin single-session wrapper over this class; the asyncio
+The synchronous :class:`~repro.sharing.service.SharingService` steps
+one of these on its own :class:`~repro.net.world.World`; the
 :class:`~repro.sharing.server.SessionServer` hosts hundreds of them,
 all stepped from its one loop.
 
@@ -13,9 +13,7 @@ The split keeps every method here non-blocking and clock-agnostic:
 
 * :meth:`pump_signalling` drains queued SIP both ways (bounded work);
 * :meth:`media_round` runs one capture→distribute→receive round
-  *without* advancing the clock — the driver owns time (the sync
-  wrapper advances its private clock; the server advances one shared
-  clock for all sessions);
+  *without* advancing the clock — the driver's world owns time;
 * :meth:`poll_rtcp` gives reports a chance to go out between media
   rounds (RTCP interval logic lives in the reporters themselves).
 """
@@ -32,7 +30,6 @@ from ..ah import ApplicationHost
 from ..participant import Participant
 from ..signalling import SignallingBinding
 from ..transport import DatagramTransport, StreamTransport
-from .aio import CooperativeTransport
 
 
 @dataclass(slots=True)
@@ -61,7 +58,6 @@ class SessionCore:
         rng: random.Random | None = None,
         rate_bps: int | None = None,
         obs=None,
-        cooperative_budget: int | None = None,
     ) -> None:
         if not callable(getattr(clock, "now", None)):
             raise TypeError("SessionCore needs a clock with now()")
@@ -73,9 +69,6 @@ class SessionCore:
         #: Token-bucket tier attached to UDP participants (section 4.3).
         self.rate_bps = rate_bps
         self.obs = obs if obs is not None else ah.obs
-        #: Per-drain packet bound applied to negotiated media transports
-        #: (None = unbounded, the historical synchronous behaviour).
-        self.cooperative_budget = cooperative_budget
         self._calls: dict[str, CoreCall] = {}
         #: Completed joins over the core's lifetime (distinct from the
         #: ``session.joins`` counter, which may be shared/labelled).
@@ -138,11 +131,6 @@ class SessionCore:
 
     # -- Media wiring -------------------------------------------------------
 
-    def _wrap(self, transport):
-        if self.cooperative_budget is None:
-            return transport
-        return CooperativeTransport(transport, self.cooperative_budget)
-
     def _on_answer(self, name: str, answer_sdp: str) -> None:
         """Participant answered: build the negotiated media path."""
         agreed = negotiate(parse_sdp(answer_sdp)) if answer_sdp.strip() else None
@@ -155,7 +143,7 @@ class SessionCore:
             ah_transport = DatagramTransport(link.forward, link.backward)
             p_transport = DatagramTransport(link.backward, link.forward)
             self.ah.add_participant(
-                name, self._wrap(ah_transport), rate_bps=self.rate_bps
+                name, ah_transport, rate_bps=self.rate_bps
             )
         else:
             link = duplex_reliable(
@@ -163,9 +151,9 @@ class SessionCore:
             )
             ah_transport = StreamTransport(link.forward, link.backward)
             p_transport = StreamTransport(link.backward, link.forward)
-            self.ah.add_participant(name, self._wrap(ah_transport))
+            self.ah.add_participant(name, ah_transport)
         participant = Participant(
-            name, self._wrap(p_transport), clock=self.clock,
+            name, p_transport, clock=self.clock,
             config=self.ah.config, obs=self.obs,
             rng=random.Random(self._rng.randrange(1 << 30)),
         )
@@ -249,6 +237,10 @@ class SessionCore:
     def media_round(self, dt: float) -> None:
         """One capture→distribute→receive round; the caller owns time."""
         self.ah.advance(dt)
+        self.receive()
+
+    def receive(self) -> None:
+        """Let every wired participant drain its media path."""
         for call in list(self._calls.values()):
             if call.participant is not None:
                 call.participant.process_incoming()
@@ -282,18 +274,3 @@ class SessionCore:
         """
         for session in self.ah.sessions.values():
             session.send_report()
-
-    def advance(self, dt: float) -> None:
-        """One synchronous service round: signalling, media, participants.
-
-        Preserved verbatim from the historical ``SharingService`` loop
-        (pump → AH advance → clock advance → participant receive) so
-        single-session callers keep deterministic behaviour.
-        """
-        self.pump_signalling()
-        self.ah.advance(dt)
-        self.clock.advance(dt)
-        for call in list(self._calls.values()):
-            if call.participant is not None:
-                call.participant.process_incoming()
-        self.poll_liveness()

@@ -8,15 +8,16 @@ per hosted AH, and a signalling front door —
 SIP/SDP stack and resolves once media is wired, :meth:`leave` BYEs.
 
 One loop: the server owns the only asyncio task, and its body is the
-synchronous :meth:`SessionServer.step` — advance the shared clock by
-``tick``, then one ``round()`` per registered entry (sessions and
-relays) in registration order, each under the restart policy.  The
-task is ``while running: step(); await sleep(0)``, so a 200-session
-simulation runs as fast as the hardware allows and a driver that wants
-no event loop at all can call :meth:`~SessionServer.step` itself.
-Pass ``realtime=True`` to pace against the wall clock instead
-(``time.monotonic``): the loop then leaves the clock alone and sleeps
-``tick`` between steps.
+synchronous :meth:`SessionServer.step` — one step of the server's
+:class:`~repro.net.world.World`, whose entries are the clock tick and
+then one ``round()`` per registered entry (sessions and relays) in
+registration order, each under the restart policy.  The task is
+``while running: step(); await sleep(0)``, so a 200-session simulation
+runs as fast as the hardware allows and a driver that wants no event
+loop at all can call :meth:`~SessionServer.step` itself.  Pass
+``realtime=True`` to pace against the wall clock instead
+(``time.monotonic``): the world then has no tick entry and the loop
+sleeps ``tick`` between steps.
 
 Usage::
 
@@ -37,6 +38,7 @@ from ...health.admission import AdmissionControl, AdmissionDecision, OverloadCon
 from ...health.liveness import LivenessConfig
 from ...health.supervisor import RestartPolicy, TaskSupervisor
 from ...net.channel import ChannelConfig
+from ...net.world import World
 from ...obs.instrumentation import NULL
 from ...rtp.clock import SimulatedClock
 from ..config import SharingConfig
@@ -92,7 +94,6 @@ class SessionServer:
         channel_config: ChannelConfig | None = None,
         rng: random.Random | None = None,
         obs=None,
-        cooperative_budget: int | None = 256,
         join_timeout: float = 5.0,
         overload: OverloadConfig | None = None,
         restart_policy: RestartPolicy | None = None,
@@ -112,7 +113,6 @@ class SessionServer:
         self.registry = SessionRegistry(
             rng=random.Random(self._rng.randrange(1 << 30)), obs=self.obs
         )
-        self.cooperative_budget = cooperative_budget
         #: Wall-clock bound on one join handshake.
         self.join_timeout = join_timeout
         #: Capacity checks + the degrade/shed overload ladder.
@@ -124,6 +124,12 @@ class SessionServer:
         #: Silence thresholds handed to every hosted AH (None keeps
         #: eviction off, the historical behaviour).
         self.liveness_config = liveness
+        #: What one :meth:`step` runs: the clock tick (virtual time
+        #: only), then every hosted entry's round.
+        self.world = World(self.clock, tick)
+        if not realtime:
+            self.world.add(self.world.tick)
+        self.world.add(self._serve)
         self._load_level = "ok"
         self._running = False
         self._loop_task: asyncio.Task | None = None
@@ -177,8 +183,9 @@ class SessionServer:
         the restart budget closes it with
         ``reason="supervisor_give_up"``.
         """
-        if not self.realtime:
-            self.clock.advance(self.tick)
+        self.world.step()
+
+    def _serve(self, _dt: float) -> None:
         # The registry iterates a snapshot, so entries may close (and
         # unregister) mid-step; an earlier round may have closed this one.
         for code, entry in self.registry:
@@ -286,7 +293,6 @@ class SessionServer:
             rate_bps=rate_bps,
             rng=random.Random(self._rng.randrange(1 << 30)),
             obs=self.obs,
-            cooperative_budget=self.cooperative_budget,
             close_when_empty=close_when_empty,
             liveness=self.liveness_config,
         )

@@ -100,7 +100,6 @@ class HostedSession(HostedEntry):
         rate_bps: int | None = None,
         rng: random.Random | None = None,
         obs=None,
-        cooperative_budget: int | None = 256,
         close_when_empty: bool = True,
         liveness: LivenessConfig | None = None,
     ) -> None:
@@ -122,7 +121,6 @@ class HostedSession(HostedEntry):
             rng=self._rng,
             rate_bps=rate_bps,
             obs=self.obs,
-            cooperative_budget=cooperative_budget,
         )
         self.close_when_empty = close_when_empty
         #: Remote peers the front door manages, keyed by participant name.

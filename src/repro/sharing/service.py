@@ -5,12 +5,12 @@ hosting core: one :class:`~repro.sharing.ah.ApplicationHost` whose
 participant lifecycle is driven by SIP (the "integrated into the
 existing IETF session model" story of section 2), runnable end to end
 on simulated links.  All of the machinery — endpoints, bindings,
-negotiated media wiring, participant lifecycle, the synchronous
-``advance`` loop — lives in
-:class:`~repro.sharing.server.core.SessionCore`, which the asyncio
+negotiated media wiring, participant lifecycle — lives in
+:class:`~repro.sharing.server.core.SessionCore`, which the
 :class:`~repro.sharing.server.SessionServer` drives at
-hundreds-of-sessions scale; this class only insists on a clock it can
-advance itself.
+hundreds-of-sessions scale; this class adds its own
+:class:`~repro.net.world.World` (``service.world``), and
+:meth:`SharingService.advance` is one step of it.
 
 Public API::
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 
 from ..net.channel import ChannelConfig
+from ..net.world import World
 from ..rtp.clock import SimulatedClock
 from .server.core import SessionCore
 
@@ -57,3 +58,17 @@ class SharingService(SessionCore):
             rate_bps=rate_bps,
             obs=obs,
         )
+        #: One :meth:`advance` is one step: signalling, AH, clock tick,
+        #: participants, liveness.
+        self.world = World(clock)
+        self.world.add(
+            lambda dt: self.pump_signalling(),
+            self.ah.advance,
+            self.world.tick,
+            lambda dt: self.receive(),
+            lambda dt: self.poll_liveness(),
+        )
+
+    def advance(self, dt: float) -> None:
+        """One service round of ``dt`` simulated seconds."""
+        self.world.step(dt)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.net.channel import ChannelConfig, duplex_lossy, duplex_reliable
+from repro.net.world import World, receive
 from repro.rtp.clock import SimulatedClock
 from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import SharingConfig
@@ -93,6 +94,16 @@ def udp_pair(
     return participant
 
 
+def session_world(clock, ah, participants, dt: float = 0.02,
+                  per_round=None) -> World:
+    """The AH → tick → participants loop; ``per_round(i)`` runs first."""
+    world = World(clock, dt)
+    if per_round is not None:
+        world.add(lambda _dt: per_round(world.rounds))
+    world.add(ah.advance, world.tick, receive(participants))
+    return world
+
+
 def run_session(
     clock: SimulatedClock,
     ah: ApplicationHost,
@@ -102,13 +113,7 @@ def run_session(
     per_round=None,
 ) -> None:
     """Advance AH + participants in lockstep for ``rounds`` steps."""
-    for i in range(rounds):
-        if per_round is not None:
-            per_round(i)
-        ah.advance(dt)
-        clock.advance(dt)
-        for participant in participants:
-            participant.process_incoming()
+    session_world(clock, ah, participants, dt, per_round).run(rounds)
 
 
 def settle(clock, ah, participants, rounds: int = 100, dt: float = 0.02):

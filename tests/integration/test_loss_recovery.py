@@ -8,7 +8,7 @@ from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from .helpers import run_session, settle, udp_pair
+from .helpers import run_session, session_world, settle, udp_pair
 
 
 @pytest.fixture
@@ -193,7 +193,6 @@ class TestBurstLossRecovery:
 
     def test_fragment_stream_reconstructed_via_nack_retries(self, clock):
         from repro.net.channel import FaultProfile
-        from repro.net.simulator import Simulation
         from repro.obs import Instrumentation
 
         obs = Instrumentation(clock=clock.now)
@@ -209,30 +208,29 @@ class TestBurstLossRecovery:
         participant = udp_pair(
             clock, ah, seed=11, obs=obs
         )
-        sim = Simulation(ah, clock, instrumentation=obs)
-        sim.add_participant(participant)
+        def drive(i):
+            if i % 6 == 0 and i < 420:
+                editor.type_text(f"burst-loss line {i} " + "~" * 40 + "\n")
+
+        world = session_world(clock, ah, [participant], per_round=drive)
 
         # Script the impairment window: clean join, then 8 seconds of
         # bursty loss while the editor generates multi-fragment
         # updates, then a clean tail to let recovery finish.
         link = participant.link.forward
-        sim.at(1.0, lambda: link.set_faults(burst))
-        sim.at(9.0, lambda: link.set_faults(None))
-
-        def drive(i):
-            if i % 6 == 0 and i < 420:
-                editor.type_text(f"burst-loss line {i} " + "~" * 40 + "\n")
-
-        sim.add_driver(drive)
-        sim.run_seconds(14.0)
-        assert sim.run_until_converged(timeout=20.0)
+        world.at(1.0, lambda: link.set_faults(burst))
+        world.at(9.0, lambda: link.set_faults(None))
+        world.run(700)
+        assert world.run_until(
+            lambda: participant.converged_with(ah.windows), timeout=20.0
+        )
 
         # The impairment actually happened...
         assert link.datagrams_dropped_burst > 10
         assert link.datagrams_reordered > 0
         assert link.datagrams_duplicated > 0
         # ...and recovery worked through the NACK retry machine.
-        snap = sim.snapshot()
+        snap = obs.snapshot()
         assert _snapshot_total(snap, "recovery.nacks_sent") > 0
         assert _snapshot_total(snap, "recovery.retries") > 0
         assert _snapshot_total(snap, "recovery.recovered") > 0
@@ -269,7 +267,6 @@ class TestGiveUpDegradation:
 
     def test_capped_retries_then_refresh(self, clock):
         from repro.net.channel import FaultProfile
-        from repro.net.simulator import Simulation
         from repro.obs import Instrumentation
 
         obs = Instrumentation(clock=clock.now)
@@ -285,25 +282,26 @@ class TestGiveUpDegradation:
             ah_supports_retransmissions=True,
             reorder_wait=30.0,
         )
-        sim = Simulation(ah, clock, instrumentation=obs)
-        sim.add_participant(participant)
-        sim.run_seconds(1.0)
+        world = session_world(clock, ah, [participant])
+        world.run(50)
         assert participant.converged_with(ah.windows)
 
         # Script a total blackout around one update: every fragment of
         # it is lost, then the link heals and only keepalives flow.
         link = participant.link.forward
         blackout = FaultProfile(loss_good=1.0, loss_bad=1.0)
-        sim.at(1.2, lambda: link.set_faults(blackout))
-        sim.at(1.21, lambda: editor.type_text("doomed update " * 30))
-        sim.at(1.5, lambda: link.set_faults(None))
-        sim.run_seconds(1.0)
+        world.at(1.2, lambda: link.set_faults(blackout))
+        world.at(1.21, lambda: editor.type_text("doomed update " * 30))
+        world.at(1.5, lambda: link.set_faults(None))
+        world.run(50)
         assert not participant.converged_with(ah.windows)
 
         # NACK retries fire into the void; after the cap the
         # participant degrades to a PLI-driven full refresh.
-        assert sim.run_until_converged(timeout=30.0)
-        snap = sim.snapshot()
+        assert world.run_until(
+            lambda: participant.converged_with(ah.windows), timeout=30.0
+        )
+        snap = obs.snapshot()
         assert _snapshot_total(snap, "recovery.nacks_sent") > 0
         assert _snapshot_total(snap, "recovery.retries") > 0
         assert _snapshot_total(snap, "recovery.gave_up") > 0

@@ -23,6 +23,7 @@ import random
 from repro.apps.text_editor import TextEditorApp
 from repro.health.liveness import LivenessConfig
 from repro.net.channel import ChannelConfig, duplex_reliable
+from repro.net.world import World, receive
 from repro.relay import RelayConfig, build_relay_tree
 from repro.relay.tree import attach_viewer
 from repro.rtp.clock import SimulatedClock
@@ -139,7 +140,9 @@ def test_seeded_wire_transcript_is_unchanged(monkeypatch):
     clock = SimulatedClock()
     ah, editor, tree, viewers = build(clock)
     words = random.Random(24)
-    for index in range(ROUNDS):
+
+    def script(_dt):
+        index = world.rounds
         if index < LAST_EDIT and index % 5 == 0:
             word = "".join(words.choice("abcdefgh ") for _ in range(12))
             editor.type_text(word + ("\n" if index % 35 == 0 else ""))
@@ -154,11 +157,13 @@ def test_seeded_wire_transcript_is_unchanged(monkeypatch):
             ))
         if index == HIP_INPUT:
             viewers[0].click(editor.window.window_id, 5, 5)
-        ah.advance(DT)
-        clock.advance(DT)
-        tree.pump()
-        for viewer in viewers:
-            viewer.process_incoming()
+
+    world = World(clock, DT)
+    world.add(
+        script, ah.advance, world.tick, lambda _dt: tree.pump(),
+        receive(viewers),
+    )
+    world.run(ROUNDS)
     # The scenario has to exercise what it pins: loss was repaired by
     # NACK at both tiers, heartbeats flowed, and everyone converged.
     assert all(v.converged_with(ah.windows) for v in viewers)

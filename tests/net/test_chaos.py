@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.channel import ChannelConfig, LossyChannel, duplex_lossy
-from repro.net.simulator import Simulation
+from repro.net import World
 from repro.rtp.clock import SimulatedClock
 from repro.sharing.transport import DatagramTransport
 
@@ -11,13 +11,6 @@ from repro.sharing.transport import DatagramTransport
 @pytest.fixture
 def clock():
     return SimulatedClock()
-
-
-class StubAH:
-    """Just enough AH for Simulation: an advance() and no participants."""
-
-    def advance(self, dt):
-        pass
 
 
 @pytest.fixture
@@ -101,23 +94,30 @@ class TestTransportClose:
         assert near.receive_packets() == []
 
 
+def ticking_world(clock):
+    world = World(clock)
+    world.add(world.tick)
+    return world
+
+
 class TestSimulationScripting:
     def test_partition_at_with_duration_auto_heals(self, clock):
-        sim = Simulation(StubAH(), clock)
+        world = ticking_world(clock)
         channel = LossyChannel(ChannelConfig(delay=0.0), clock.now)
-        sim.partition_at(1.0, channel, duration=2.0)
-        sim.run_until(lambda: channel.partitioned, timeout=5.0)
+        world.at(1.0, channel.partition)
+        world.at(3.0, channel.heal)
+        world.run_until(lambda: channel.partitioned, timeout=5.0)
         assert clock.now() == pytest.approx(1.0, abs=0.1)
-        sim.run_until(lambda: not channel.partitioned, timeout=5.0)
+        world.run_until(lambda: not channel.partitioned, timeout=5.0)
         assert clock.now() == pytest.approx(3.0, abs=0.1)
 
     def test_stall_at_and_heal_at(self, clock):
-        sim = Simulation(StubAH(), clock)
+        world = ticking_world(clock)
         channel = LossyChannel(ChannelConfig(delay=0.0), clock.now)
-        sim.stall_at(0.5, channel)
-        sim.heal_at(1.5, channel)
-        sim.run_until(lambda: channel.stalled, timeout=5.0)
-        sim.run_until(lambda: not channel.stalled, timeout=5.0)
+        world.at(0.5, channel.stall)
+        world.at(1.5, channel.heal)
+        world.run_until(lambda: channel.stalled, timeout=5.0)
+        world.run_until(lambda: not channel.stalled, timeout=5.0)
         assert clock.now() >= 1.5
 
     def test_crash_at_kills_the_node(self, clock):
@@ -127,8 +127,8 @@ class TestSimulationScripting:
             def crash(self):
                 self.crashed = True
 
-        sim = Simulation(StubAH(), clock)
+        world = ticking_world(clock)
         node = Node()
-        sim.crash_at(2.0, node)
-        sim.run_until(lambda: node.crashed, timeout=5.0)
+        world.at(2.0, node.crash)
+        world.run_until(lambda: node.crashed, timeout=5.0)
         assert clock.now() >= 2.0

@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.net.channel import FaultProfile
-from repro.net.simulator import Simulation
 from repro.obs import Instrumentation
 from repro.obs.report import run_scenario
 from repro.obs.spans import OPTIONAL_STAGES, STAGES
@@ -28,7 +27,7 @@ from repro.sharing.ah import ApplicationHost
 from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
-from tests.integration.helpers import udp_pair
+from tests.integration.helpers import session_world, udp_pair
 
 
 @pytest.fixture(scope="module")
@@ -114,18 +113,19 @@ class TestGiveUpTracing:
             ah_supports_retransmissions=True,
             reorder_wait=30.0,
         )
-        sim = Simulation(ah, clock, instrumentation=obs)
-        sim.add_participant(participant)
-        sim.run_seconds(1.0)
+        world = session_world(clock, ah, [participant])
+        world.run(50)
         assert participant.converged_with(ah.windows)
 
         link = participant.link.forward
         blackout = FaultProfile(loss_good=1.0, loss_bad=1.0)
-        sim.at(1.2, lambda: link.set_faults(blackout))
-        sim.at(1.21, lambda: editor.type_text("doomed update " * 30))
-        sim.at(1.5, lambda: link.set_faults(None))
-        sim.run_seconds(1.0)
-        assert sim.run_until_converged(timeout=30.0)
+        world.at(1.2, lambda: link.set_faults(blackout))
+        world.at(1.21, lambda: editor.type_text("doomed update " * 30))
+        world.at(1.5, lambda: link.set_faults(None))
+        world.run(50)
+        assert world.run_until(
+            lambda: participant.converged_with(ah.windows), timeout=30.0
+        )
         return obs
 
     def test_spans_abandoned_and_counted(self, give_up_obs):

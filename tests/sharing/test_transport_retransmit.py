@@ -8,7 +8,6 @@ from repro.rtp.clock import SimulatedClock
 from repro.rtp.feedback import PictureLossIndication
 from repro.rtp.packet import RtpPacket
 from repro.sharing.retransmit import RetransmitCache
-from repro.sharing.server.aio import CooperativeTransport
 from repro.sharing.transport import (
     DatagramTransport,
     MulticastSenderTransport,
@@ -84,18 +83,6 @@ class TestStreamTransport:
     def test_reliable_flag(self, clock):
         link = duplex_reliable(ChannelConfig(), clock.now)
         assert StreamTransport(link.forward, link.backward).reliable
-
-
-class TestCooperativeTransport:
-    def test_close_reaches_the_inner_transport(self, clock):
-        link = duplex_lossy(ChannelConfig(), clock.now)
-        inner = DatagramTransport(link.forward, link.backward)
-        wrapped = CooperativeTransport(inner)
-        assert not wrapped.closed
-        wrapped.close()
-        assert inner.closed
-        assert wrapped.closed
-        assert not wrapped.send_packet(b"late")
 
 
 class TestMulticastTransports:
