@@ -55,7 +55,9 @@ def bounded_decompress(data: bytes, expected: int, what: str = "stream",
 
     ``zlib.decompress`` with no bound lets a kilobyte of input expand to
     gigabytes.  This decompresses with a hard output cap and requires the
-    stream to produce exactly ``expected`` bytes.
+    stream to produce exactly ``expected`` bytes and to end: a stream
+    cut inside its Adler-32 trailer still inflates to every byte, but
+    the checksum that would catch corruption was never read.
     """
     import zlib
 
@@ -71,6 +73,8 @@ def bounded_decompress(data: bytes, expected: int, what: str = "stream",
     if len(raw) < expected:
         raise err(f"{what} ends short of the declared {expected} bytes",
                   reason="truncated")
+    if not decompressor.eof:
+        raise err(f"{what} ends before its zlib trailer", reason="truncated")
     if decompressor.unused_data:
         raise err(f"trailing garbage after {what}")
     return raw

@@ -121,7 +121,7 @@ def iter_chunks(data: bytes) -> Iterator[Chunk]:
                                  reason="truncated")
         body = data[body_start:body_end]
         (stored_crc,) = struct.unpack_from("!I", data, body_end)
-        actual_crc = zlib.crc32(chunk_type + body) & 0xFFFF_FFFF
+        actual_crc = zlib.crc32(body, zlib.crc32(chunk_type))
         if stored_crc != actual_crc:
             raise PngFormatError(f"CRC mismatch in {chunk_type!r} chunk")
         yield Chunk(chunk_type, body)

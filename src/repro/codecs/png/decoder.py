@@ -58,7 +58,7 @@ def decode_png(data: bytes) -> np.ndarray:
     check_decode_dims(width, height, "PNG image")
     stride = width * BPP
     expected = height * (stride + 1)
-    raw = bounded_decompress(bytes(idat), expected, "IDAT stream",
+    raw = bounded_decompress(idat, expected, "IDAT stream",
                              error_cls=PngFormatError)
 
     scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + stride)

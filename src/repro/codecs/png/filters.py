@@ -8,7 +8,8 @@ per-row design choice ablated in ``bench_codecs.py``.
 The hot paths here are whole-image: :func:`filter_image` computes all
 five candidates as ``(h, w*4)`` arrays and picks per-row winners with a
 vectorised MSAD argmin; :func:`unfilter_image` reconstructs every row,
-batching the filters that have no serial dependency.  The per-row
+either along the image's anti-diagonals (one vector step per diagonal,
+when enough rows are Average or Paeth) or row by row.  The per-row
 ``apply_filter``/``choose_filter``/``undo_filter`` API is kept on top of
 the same kernels.  Bit-for-bit scalar references live in
 :mod:`repro.codecs.png.reference` and are pinned equal by tests.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 FILTER_NONE = 0
 FILTER_SUB = 1
@@ -292,21 +294,74 @@ def _undo_sub_rows(filtered: np.ndarray) -> np.ndarray:
     )
 
 
+#: The wavefront's cost rule.  A sweep costs ``width + rows - 1``
+#: diagonal steps per band (:func:`_band_rows`) whatever the filter mix;
+#: the row path costs one Python recurrence per Average/Paeth pixel.
+#: :func:`unfilter_image` sweeps when ``(#Average + #Paeth rows) * width
+#: >= WAVEFRONT_MIN_PIXELS_PER_STEP * steps``.  Measured (2-core x86-64,
+#: Python 3.11, numpy 2.4, the suite's own decode inputs, three rounds):
+#: the two paths break even where that ratio is 11-22 for 8-row text
+#: rects and the 640x480 UI screenshot, 17-29 for a 140x100 terminal,
+#: 24-39 for a 500x500 one and 28-37 for 320x240 photos (a step grows
+#: with the rows it spans; Average pixels are the row path's cheapest),
+#: and 17-19 for Average-only images taller than wide (40x2000, 64x1500,
+#: 120x1200), swept in bands.  At 20, photos (ratio ~140), the 500x500
+#: terminal (~150) and 140x100 terminals (~32) sweep; text rects (~4),
+#: Up-dominated editor frames (<1) and images under 40 pixels wide keep
+#: the row path.
+WAVEFRONT_MIN_PIXELS_PER_STEP = 20
+
+
+def _band_rows(height: int, width: int) -> int:
+    """Rows per wavefront band: the whole image unless it is taller than wide.
+
+    A band of ``b`` rows sweeps in ``width + b - 1`` steps over
+    ``(width + b + 1) * (b + 1)`` pixels of scratch, so capping ``b`` at
+    ``width`` keeps both within about twice the band's own pixels: a
+    tall, narrow image costs what its pixels cost, not the square of
+    its height.
+    """
+    return max(1, min(height, width))
+
+
 def unfilter_image(filter_types: np.ndarray, filtered: np.ndarray) -> np.ndarray:
     """Reconstruct all scanlines from their filtered form.
 
-    ``filter_types`` is ``(h,)``, ``filtered`` is ``(h, w*BPP)``.  None
-    and Sub rows never read the row above, so they are reconstructed
-    for the whole image up front; runs of consecutive Up rows collapse
-    into one column-wise cumulative sum; Average and Paeth rows run a
-    lane-wise recurrence over Python ints (byte lanes advance together,
-    with no per-byte numpy indexing).
+    ``filter_types`` is ``(h,)``, ``filtered`` is ``(h, w*BPP)``.  Only
+    Average and Paeth rows carry a serial dependency, so only they
+    decide the path: enough of them (see
+    :data:`WAVEFRONT_MIN_PIXELS_PER_STEP`) and the image is swept along
+    its anti-diagonals (:func:`_unfilter_wavefront`), one vector step
+    per diagonal for every row of a band at once; otherwise the row
+    path (:func:`_unfilter_rows`) batches None/Sub/Up rows and runs
+    each Average/Paeth row as a lane-wise loop over Python ints.  Both
+    paths produce the same bytes.
     """
     bad = filter_types > FILTER_PAETH
     if bad.any():
         raise ValueError(
             f"unknown filter type: {int(filter_types[int(np.argmax(bad))])}"
         )
+    height, stride = filtered.shape
+    width = stride // BPP
+    bands = -(-height // _band_rows(height, width))
+    steps = bands * (width - 1) + height
+    # Average and Paeth are the two highest filter types.
+    serial = int(np.count_nonzero(filter_types >= FILTER_AVERAGE))
+    if serial and serial * width >= WAVEFRONT_MIN_PIXELS_PER_STEP * steps:
+        return _unfilter_wavefront(filter_types, filtered)
+    return _unfilter_rows(filter_types, filtered)
+
+
+def _unfilter_rows(filter_types: np.ndarray, filtered: np.ndarray) -> np.ndarray:
+    """The short-image path: one Python recurrence per serial row.
+
+    None and Sub rows never read the row above, so they are
+    reconstructed for the whole image up front; runs of consecutive Up
+    rows collapse into one column-wise cumulative sum; Average and
+    Paeth rows run a lane-wise recurrence over Python ints (byte lanes
+    advance together, with no per-byte numpy indexing).
+    """
     height, stride = filtered.shape
     out = np.empty((height, stride), dtype=np.uint8)
 
@@ -348,6 +403,144 @@ def unfilter_image(filter_types: np.ndarray, filtered: np.ndarray) -> np.ndarray
         out[y] = row_out
         y += 1
     return out
+
+
+def _unfilter_wavefront(filter_types: np.ndarray,
+                        filtered: np.ndarray) -> np.ndarray:
+    """Reconstruct the image band by band, one anti-diagonal per step.
+
+    Bands are :func:`_band_rows` rows tall; each is swept by
+    :func:`_sweep_band` with the last row of the band before it as the
+    row above, so the bands join exactly as the rows of one image.  An
+    image no taller than wide is one band, returned as swept.
+    """
+    height, stride = filtered.shape
+    band = _band_rows(height, stride // BPP)
+    prev = np.zeros(stride, dtype=np.uint8)
+    bands = []
+    for y in range(0, height, band):
+        bands.append(_sweep_band(filter_types[y:y + band],
+                                 filtered[y:y + band], prev))
+        prev = bands[-1][-1]
+    return bands[0] if len(bands) == 1 else np.concatenate(bands)
+
+
+def _sweep_band(filter_types: np.ndarray, filtered: np.ndarray,
+                prev: np.ndarray) -> np.ndarray:
+    """Reconstruct every row of one band at once, one diagonal per step.
+
+    Pixel (r, j) needs only its left (r, j-1), up (r-1, j) and up-left
+    (r-1, j-1) neighbours, which lie on diagonals d-1, d-1 and d-2 of
+    ``d = r + j``.  So once the band is stored skewed (diagonal d is
+    one array row), all pixels of diagonal d are independent and one
+    ufunc per filter formula finishes them together: ``width + height
+    - 1`` steps in all, each a handful of ufuncs over <= ``height``
+    pixels.
+
+    Within a diagonal the rows are ordered by filter type (stable, so
+    ascending within a type), which makes each type one contiguous
+    slice; per type only the rows whose pixel ``d - r`` lies inside
+    the band are touched.  Slot 0 of every diagonal holds row -1 (the
+    ``prev`` scanline, zero above the image) and j < 0 is never
+    written, so both PNG boundaries come for free.  Each step gathers
+    its diagonal's residuals into type order with one ``np.take``, and
+    the row above the same way unless type order is row order; the
+    up-left neighbour is the previous step's row above.
+    """
+    height, stride = filtered.shape
+    width = stride // BPP
+    diagonals = width + height - 1
+    counts = np.bincount(filter_types, minlength=len(ALL_FILTERS))
+    order = np.argsort(filter_types, kind="stable")
+    ranks = np.arange(height)
+    slot = np.empty(height, dtype=np.intp)  # recon slot of each row
+    slot[order] = ranks + 1
+    above = np.zeros(height, dtype=np.intp)  # slot of the row above
+    above[1:] = slot[:-1]
+    above = above[order]
+    # Rows already in type order (one Sub row, then Average, as in some
+    # photos: 14.5-16.5 ms instead of 21.5 ms for a 640x480 one) read
+    # the row above from the slot before instead of gathering it.
+    in_order = bool((order == ranks).all())
+
+    # skew[d, r] is filtered pixel (r, d - r) whenever 0 <= d - r <
+    # width: a strided view of one contiguous copy, whose flat index
+    # d + r * (width - 1) stays inside [0, height * width) for every
+    # (d, r) of the view.  Outside the band it reads some other pixel,
+    # which no step uses.  f_row is diagonal d in type order.
+    pixels = np.ascontiguousarray(filtered).view(np.uint32).reshape(-1)
+    skew = as_strided(pixels, shape=(diagonals, height),
+                      strides=(BPP, (width - 1) * BPP))
+    f32 = np.empty(height, dtype=np.uint32)
+    f_row = f32.view(np.uint8)
+
+    # recon[d + 2] is diagonal d (rows 0 and 1 are diagonals -2, -1),
+    # one BPP-byte pixel per slot; pixel j of row -1 is on diagonal
+    # j - 1, and (-1, -1) stays zero.
+    recon = np.zeros((diagonals + 2, (height + 1) * BPP), dtype=np.uint8)
+    recon32 = recon.view(np.uint32)
+    recon32[1:width + 1, 0] = prev.view(np.uint32)
+    up32 = np.zeros(height, dtype=np.uint32)
+    up_left32 = np.zeros(height, dtype=np.uint32)
+
+    steps = np.arange(diagonals)
+    groups = []
+    start = 0
+    for kind in ALL_FILTERS:
+        end = start + int(counts[kind])
+        if end > start:
+            rows = order[start:end]
+            lo = start + np.searchsorted(rows, steps - (width - 1))
+            hi = start + np.searchsorted(rows, steps, side="right")
+            groups.append((kind, lo.tolist(), hi.tolist()))
+        start = end
+
+    lanes = height * BPP
+    t8 = np.empty(lanes, dtype=np.uint8)
+    u8 = np.empty(lanes, dtype=np.uint8)
+    for d in range(diagonals):
+        np.take(skew[d], order, out=f32, mode="clip")
+        left = recon[d + 1]
+        out_row = recon[d + 2]
+        if in_order:
+            up, up_left = recon[d + 1], recon[d]
+        else:
+            up32, up_left32 = up_left32, up32
+            np.take(recon32[d + 1], above, out=up32, mode="clip")
+            up, up_left = up32.view(np.uint8), up_left32.view(np.uint8)
+        for kind, los, his in groups:
+            lo, hi = los[d] * BPP, his[d] * BPP
+            if lo == hi:
+                continue
+            f = f_row[lo:hi]
+            out_px = out_row[lo + BPP:hi + BPP]
+            if kind == FILTER_NONE:
+                out_px[...] = f
+            elif kind == FILTER_SUB:
+                np.add(f, left[lo + BPP:hi + BPP], out=out_px)
+            elif kind == FILTER_UP:
+                np.add(f, up[lo:hi], out=out_px)
+            elif kind == FILTER_AVERAGE:
+                # floor((a + b) / 2) without leaving uint8.
+                a, b = left[lo + BPP:hi + BPP], up[lo:hi]
+                t, u = t8[:hi - lo], u8[:hi - lo]
+                np.bitwise_xor(a, b, out=t)
+                t >>= 1
+                np.bitwise_and(a, b, out=u)
+                t += u
+                np.add(f, t, out=out_px)
+            else:
+                pred = _paeth_predictor(left[lo + BPP:hi + BPP], up[lo:hi],
+                                        up_left[lo:hi])
+                np.add(f, pred, out=out_px)
+
+    # Undo the skew: pixel (r, j) sits at diagonal r + j, slot[r].
+    del pixels, skew
+    cols = height + 1
+    flat = recon32.reshape(-1)
+    lines = as_strided(flat, shape=(flat.size - (width - 1) * cols, width),
+                       strides=(BPP, cols * BPP))
+    return lines[(ranks + 2) * cols + slot].view(np.uint8)
 
 
 # -- Per-row API -------------------------------------------------------------

@@ -4,7 +4,7 @@
 ``docs/HARDENING.md`` for the contract and replay workflow.
 """
 
-from .corpus import build_corpus
+from .corpus import build_corpus, build_rejects
 from .drivers import SURFACE_DRIVERS
 from .mutate import MUTATORS, mutate
 from .runner import MEMORY_BUDGET_BYTES, FuzzReport, SurfaceReport, run_fuzz
@@ -16,6 +16,7 @@ __all__ = [
     "FuzzReport",
     "SurfaceReport",
     "build_corpus",
+    "build_rejects",
     "mutate",
     "run_fuzz",
 ]

@@ -1,10 +1,12 @@
-"""Valid seed packets for every fuzzed surface.
+"""Valid seed packets for every fuzzed surface, plus near-valid rejects.
 
 Structure-aware fuzzing starts from encodings the repo's own encoders
 produce — mutations of a valid packet explore the decoder far deeper
 than pure random bytes, which usually die on the first magic/length
-check.  Everything here is deterministic: the corpus is part of the
-reproducibility contract (same seed ⇒ same run).
+check.  A check that no mutation of a valid packet can reach gets a
+near-valid seed in :func:`build_rejects`.  Everything here is
+deterministic: the corpus is part of the reproducibility contract (same
+seed ⇒ same run).
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ import numpy as np
 
 from ..bfcp.messages import floor_release, floor_request, floor_request_status
 from ..codecs.lossy import LossyDctCodec
+from ..codecs.png.chunks import (
+    SIGNATURE,
+    TYPE_IDAT,
+    TYPE_IEND,
+    TYPE_IHDR,
+    Chunk,
+    iter_chunks,
+)
 from ..codecs.png.encoder import encode_png
 from ..core.fragmentation import fragment_update
 from ..core.hip import (
@@ -163,6 +173,22 @@ def _png() -> list[bytes]:
     ]
 
 
+def _png_without_adler() -> bytes:
+    """A PNG whose IDAT stream stops two bytes into its Adler-32 trailer.
+
+    Every chunk CRC is valid and every pixel byte still inflates; only
+    the unfinished zlib stream marks it as truncated.  No mutation of a
+    valid PNG reaches that check (the chunk CRC covers every byte), so
+    it is a seed of its own.
+    """
+    chunks = list(iter_chunks(encode_png(_pixels(5, 4))))
+    idat = b"".join(c.data for c in chunks if c.type == TYPE_IDAT)
+    header = next(c for c in chunks if c.type == TYPE_IHDR)
+    return (SIGNATURE + header.encode()
+            + Chunk(TYPE_IDAT, idat[:-2]).encode()
+            + Chunk(TYPE_IEND, b"").encode())
+
+
 def _lossy() -> list[bytes]:
     # Block-aligned and ragged dims: mutations of the header's declared
     # geometry must trip the dims-vs-payload validation, not numpy.
@@ -170,6 +196,15 @@ def _lossy() -> list[bytes]:
         LossyDctCodec(75).encode(_pixels(16, 16)),
         LossyDctCodec(30).encode(_pixels(9, 5)),
     ]
+
+
+def build_rejects() -> dict[str, list[tuple[bytes, str]]]:
+    """Surface name → near-valid packets and the reason each must fail.
+
+    Each passes every check but one, so mutations seeded from it probe
+    that check; the fuzz loop adds them to the surface's seeds.
+    """
+    return {"png": [(_png_without_adler(), "truncated")]}
 
 
 def build_corpus() -> dict[str, list[bytes]]:

@@ -24,7 +24,7 @@ from ..core.errors import ProtocolError
 from ..sharing.config import SharingConfig
 from ..sharing.participant import Participant
 from ..sharing.transport import PacketTransport
-from .corpus import build_corpus
+from .corpus import build_corpus, build_rejects
 from .drivers import SURFACE_DRIVERS
 from .mutate import mutate
 
@@ -87,7 +87,9 @@ class _InjectTransport(PacketTransport):
 def _fuzz_surface(surface: str, rng: random.Random,
                   iterations: int) -> SurfaceReport:
     corpus_key, driver = SURFACE_DRIVERS[surface]
-    corpus = build_corpus()[corpus_key]
+    corpus = build_corpus()[corpus_key] + [
+        data for data, _ in build_rejects().get(corpus_key, [])
+    ]
     report = SurfaceReport(surface)
     for index in range(iterations):
         name, data = mutate(rng, corpus)

@@ -90,6 +90,14 @@ class TestErrors:
         with pytest.raises(CodecError):
             LossyDctCodec().decode(bytes(data))
 
+    @pytest.mark.parametrize("cut", [1, 2, 4])
+    def test_stream_cut_inside_adler_trailer(self, cut):
+        img = synthetic_photo(16, 16, seed=2)
+        data = LossyDctCodec().encode(img)
+        with pytest.raises(CodecError) as excinfo:
+            LossyDctCodec().decode(data[:-cut])
+        assert excinfo.value.reason == "truncated"
+
     def test_wrong_coefficient_count(self):
         import struct
         import zlib

@@ -160,6 +160,21 @@ class TestDecodeErrors:
             data[offset] ^= 0xFF
             decode_png(bytes(data))
 
+    @pytest.mark.parametrize("cut", [1, 2, 4])
+    def test_idat_cut_inside_adler_trailer(self, cut):
+        # Every pixel byte still inflates, the chunk CRCs are valid, but
+        # the zlib checksum is gone: the stream must not be trusted.
+        img = random_image(8, 8)
+        chunks = list(iter_chunks(encode_png(img)))
+        (header,) = (c for c in chunks if c.type == b"IHDR")
+        idat = b"".join(c.data for c in chunks if c.type == b"IDAT")
+        stream = (SIGNATURE + header.encode()
+                  + Chunk(b"IDAT", idat[:-cut]).encode()
+                  + Chunk(b"IEND", b"").encode())
+        with pytest.raises(PngFormatError) as excinfo:
+            decode_png(stream)
+        assert excinfo.value.reason == "truncated"
+
     def test_unsupported_color_type(self):
         header = ImageHeader(4, 4, bit_depth=8, color_type=2)  # RGB
         stream = SIGNATURE + Chunk(b"IHDR", header.encode()).encode()

@@ -65,6 +65,13 @@ class TestZlib:
         with pytest.raises(CodecError):
             ZlibCodec().decode(bytes(data))
 
+    @pytest.mark.parametrize("cut", [1, 2, 4])
+    def test_stream_cut_inside_adler_trailer_rejected(self, noise_image, cut):
+        data = ZlibCodec().encode(noise_image)
+        with pytest.raises(CodecError) as excinfo:
+            ZlibCodec().decode(data[:-cut])
+        assert excinfo.value.reason == "truncated"
+
     def test_length_mismatch_rejected(self, noise_image):
         import struct
         import zlib as z

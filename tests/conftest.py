@@ -14,8 +14,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # ``--hypothesis-profile=thorough``: a real budget for the differential
-# tests (CI runs tests/surface and tests/rtp under it); tier-1 keeps the
-# default.
+# tests (CI runs tests/surface, tests/rtp and tests/codecs under it);
+# tier-1 keeps the default.
 settings.register_profile(
     "thorough", settings.get_profile("repro"), max_examples=2000
 )

@@ -22,12 +22,13 @@ from repro.core.hip import decode_hip
 from repro.core.move_rectangle import MoveRectangle
 from repro.core.region_update import RegionUpdate
 from repro.core.window_info import WindowManagerInfo
-from repro.fuzz.corpus import build_corpus
+from repro.fuzz.corpus import build_corpus, build_rejects
 from repro.fuzz.drivers import SURFACE_DRIVERS
 from repro.rtp.packet import RtpPacket
 from repro.rtp.rtcp import decode_compound
 
 CORPUS = build_corpus()
+REJECTS = build_rejects()
 
 ALL_SURFACES = sorted(SURFACE_DRIVERS)
 
@@ -55,6 +56,14 @@ class TestStrictPrefixes:
         _, driver = SURFACE_DRIVERS[surface]
         for packet in CORPUS[surface]:
             driver(packet)  # a valid packet must not raise at all
+
+    @pytest.mark.parametrize("surface", sorted(REJECTS))
+    def test_near_valid_rejects_fail_for_their_reason(self, surface):
+        _, driver = SURFACE_DRIVERS[surface]
+        for packet, reason in REJECTS[surface]:
+            with pytest.raises(ProtocolError) as excinfo:
+                driver(packet)
+            assert excinfo.value.reason == reason
 
 
 class TestInflatedFields:
