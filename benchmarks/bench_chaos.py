@@ -54,7 +54,6 @@ from repro.health.liveness import LivenessConfig  # noqa: E402
 from repro.net.channel import ChannelConfig  # noqa: E402
 from repro.net.world import World  # noqa: E402
 from repro.relay import build_relay_tree  # noqa: E402
-from repro.relay.node import RelayConfig  # noqa: E402
 from repro.relay.tree import duplex_transport_pair  # noqa: E402
 from repro.rtp.clock import SimulatedClock  # noqa: E402
 from repro.rtp.feedback import (  # noqa: E402
@@ -188,7 +187,7 @@ def run_chaos(fanout: int, viewers_per_leaf: int, crash_at: float,
     tree = build_relay_tree(
         ah, clock, fanouts=(fanout, fanout), viewers_per_leaf=0,
         channel_config=ChannelConfig(delay=0.01, loss_rate=LOSS, seed=11),
-        relay_config=RelayConfig(liveness=RELAY_LIVENESS),
+        liveness=RELAY_LIVENESS,
     )
     victim = tree.levels[0][0]
     orphan_leaves = {

@@ -81,7 +81,6 @@ def udp_session(
         DatagramTransport(link.backward, link.forward),
         clock=clock,
         config=cfg,
-        ah_supports_retransmissions=cfg.retransmissions,
         reorder_wait=reorder_wait,
         obs=obs,
     )
@@ -112,7 +111,6 @@ def add_udp_participant(
         DatagramTransport(link.backward, link.forward),
         clock=clock,
         config=ah.config,
-        ah_supports_retransmissions=ah.config.retransmissions,
         obs=obs,
     )
     participant.join()

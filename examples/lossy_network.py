@@ -30,7 +30,6 @@ def attach_udp_participant(clock, ah, name, loss_rate, seed, rate_bps=None):
         DatagramTransport(link.backward, link.forward),
         clock=clock,
         config=ah.config,
-        ah_supports_retransmissions=ah.config.retransmissions,
         obs=ah.obs,
     )
     participant.join()  # UDP joiners announce themselves with a PLI

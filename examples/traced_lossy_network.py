@@ -48,7 +48,6 @@ def main() -> None:
         DatagramTransport(link.backward, link.forward),
         clock=clock,
         config=ah.config,
-        ah_supports_retransmissions=ah.config.retransmissions,
         obs=obs,
     )
     participant.join()

@@ -32,7 +32,7 @@ from __future__ import annotations
 from .rtp.clock import SimulatedClock
 from .net.channel import ChannelConfig, duplex_reliable
 from .obs import Instrumentation, MetricsRegistry, NULL, NullInstrumentation
-from .relay import HostedRelay, RelayConfig, RelayNode, RelayTree
+from .relay import HostedRelay, RelayNode, RelayTree
 from .sharing import host, join
 from .sharing.ah import ApplicationHost
 from .sharing.config import PointerMode, SharingConfig
@@ -53,7 +53,6 @@ __all__ = [
     "NullInstrumentation",
     "Participant",
     "PointerMode",
-    "RelayConfig",
     "RelayNode",
     "RelayTree",
     "SessionServer",

@@ -10,12 +10,20 @@ strict decoders must survive:
   (the classic heap-overread shape);
 * **splice** — two valid packets cut and joined, producing plausible
   headers over the wrong body.
+
+PNG data gets a fifth, **idat_rewrite**: every byte the other four
+touch in a valid PNG sits under a chunk CRC, so none of their mutants
+gets past the chunk layer to inflate or unfiltering.  Other data keeps
+the four, so other surfaces' seeded draws are those of before.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+import zlib
+
+from ..codecs.png.chunks import SIGNATURE, TYPE_IDAT
 
 
 def truncate(rng: random.Random, data: bytes, corpus) -> bytes:
@@ -64,7 +72,46 @@ def splice(rng: random.Random, data: bytes, corpus) -> bytes:
     ]
 
 
+def idat_rewrite(rng: random.Random, data: bytes, corpus) -> bytes:
+    """Alter bytes inside one IDAT chunk's data and re-seal its CRC.
+
+    Half the time the bytes are the compressed stream as sent (probing
+    inflate); otherwise the stream is inflated, 1-4 bytes of its
+    filter-type-plus-residual rows are changed and it is deflated again
+    (a well-formed stream that probes unfiltering).  Data that is not a
+    PNG with a non-empty IDAT comes back unchanged.
+    """
+    idats = []
+    offset = len(SIGNATURE)
+    while offset + 12 <= len(data):
+        (length,) = struct.unpack_from("!I", data, offset)
+        if offset + 12 + length > len(data):
+            break
+        if length and data[offset + 4 : offset + 8] == TYPE_IDAT:
+            idats.append((offset + 8, length))
+        offset += 12 + length
+    if not idats:
+        return data
+    start, length = idats[rng.randrange(len(idats))]
+    body = bytearray(data[start : start + length])
+    try:
+        rows = bytearray(zlib.decompress(body)) if rng.random() < 0.5 else None
+    except zlib.error:
+        rows = None
+    target = rows if rows else body
+    for _ in range(rng.randint(1, 4)):
+        target[rng.randrange(len(target))] = rng.randrange(256)
+    if rows:
+        body = bytearray(zlib.compress(bytes(rows)))
+    crc = zlib.crc32(TYPE_IDAT + body)
+    return (
+        data[: start - 8] + struct.pack("!I", len(body)) + TYPE_IDAT
+        + bytes(body) + struct.pack("!I", crc) + data[start + length + 4 :]
+    )
+
+
 MUTATORS = (truncate, bit_flip, length_inflate, splice)
+PNG_MUTATORS = MUTATORS + (idat_rewrite,)
 
 
 def mutate(rng: random.Random, corpus: list[bytes]) -> tuple[str, bytes]:
@@ -73,5 +120,6 @@ def mutate(rng: random.Random, corpus: list[bytes]) -> tuple[str, bytes]:
     data = corpus[rng.randrange(len(corpus))]
     if rng.random() < 0.05:
         return "identity", data
-    mutator = MUTATORS[rng.randrange(len(MUTATORS))]
+    mutators = PNG_MUTATORS if data.startswith(SIGNATURE) else MUTATORS
+    mutator = mutators[rng.randrange(len(mutators))]
     return mutator.__name__, mutator(rng, data, corpus)

@@ -21,8 +21,8 @@ import traceback
 from dataclasses import dataclass, field
 
 from ..core.errors import ProtocolError
-from ..sharing.config import SharingConfig
 from ..sharing.participant import Participant
+from ..sharing.quarantine import QuarantinePolicy
 from ..sharing.transport import PacketTransport
 from .corpus import build_corpus, build_rejects
 from .drivers import SURFACE_DRIVERS
@@ -115,17 +115,15 @@ def _fuzz_participant(rng: random.Random, iterations: int) -> SurfaceReport:
 
     The ingress catches ProtocolError itself (counting and
     quarantining), so *any* exception out of ``process_incoming`` is a
-    failure.  The rejection budget is raised so the quarantine does not
-    mute the decode path mid-run.
+    failure.  The participant's quarantine gets a raised budget so it
+    does not mute the decode path mid-run.
     """
     report = SurfaceReport("participant-e2e")
     transport = _InjectTransport()
     clock = [0.0]
-    participant = Participant(
-        "fuzz",
-        transport,
-        clock=lambda: clock[0],
-        config=SharingConfig(rejection_budget=1_000_000),
+    participant = Participant("fuzz", transport, clock=lambda: clock[0])
+    participant.quarantine = QuarantinePolicy(
+        lambda: clock[0], budget=1_000_000
     )
     participant.join()
     corpus = build_corpus()

@@ -87,7 +87,6 @@ def run_scenario(
         transport_p,
         clock=clock,
         config=config,
-        ah_supports_retransmissions=config.retransmissions,
         rng=random.Random(7),
         obs=obs,
     )

@@ -24,7 +24,7 @@ bench_relay_tree.py`` for the 10k-viewer egress/feedback gates.
 """
 
 from .hosted import HostedRelay, attach_hosted_relay
-from .node import RelayConfig, RelayDownstream, RelayNode
+from .node import RelayDownstream, RelayNode
 from .tree import (
     RelayTree,
     attach_relay_to_ah,
@@ -36,7 +36,6 @@ from .tree import (
 
 __all__ = [
     "HostedRelay",
-    "RelayConfig",
     "RelayDownstream",
     "RelayNode",
     "RelayTree",

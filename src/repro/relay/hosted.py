@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+from ..health.liveness import LivenessConfig
 from ..net.channel import ChannelConfig
 from ..sharing.participant import Participant
 from ..sharing.server.errors import DuplicateParticipant, SessionClosed
@@ -145,7 +146,7 @@ def attach_hosted_relay(
     relay_id: str | None = None,
     channel_config: ChannelConfig | None = None,
     rate_bps: int | None = None,
-    relay_config=None,
+    liveness: LivenessConfig | None = None,
     obs=None,
     close_when_empty: bool = False,
     rng: random.Random | None = None,
@@ -172,7 +173,7 @@ def attach_hosted_relay(
         )
     detach = attach_under(upstream, rid, upstream_side, rate_bps)
     node = RelayNode(
-        rid, relay_side, clock=clock, config=relay_config,
+        rid, relay_side, clock=clock, liveness=liveness,
         rng=rng, obs=obs,
     )
     return HostedRelay(

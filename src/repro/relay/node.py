@@ -21,7 +21,7 @@ PLIs terminate here:
   capped retries), not a thousand (``relay.nacks_deduplicated``).
   When the repair arrives it is re-forwarded only to the waiters.
 * PLIs are rate-limited: at most one upstream PLI per
-  ``pli_min_interval`` regardless of how many viewers panic at once
+  ``PLI_MIN_INTERVAL`` regardless of how many viewers panic at once
   (``relay.plis_suppressed``).
 * Receiver reports and SDES from downstream are absorbed entirely.
 
@@ -39,6 +39,7 @@ the limiter, exactly as the AH's own scheduler does.
 from __future__ import annotations
 
 import random
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -47,88 +48,29 @@ from ..health.liveness import LivenessConfig, LivenessTracker, PeerState
 from ..net.ratecontrol import TokenBucket
 from ..obs.clockutil import as_now
 from ..obs.instrumentation import NULL
-from ..rtp.clock import DEFAULT_CLOCK_RATE
 from ..rtp.feedback import GenericNack, PictureLossIndication
 from ..rtp.reports import DEFAULT_INTERVAL as RTCP_DEFAULT_INTERVAL
 from ..rtp.rtcp import decode_compound
 from ..rtp.sequence import SequenceExtender
 from ..rtp.session import generate_ssrc
-from ..sharing.recovery import (
-    DEFAULT_BACKOFF,
-    DEFAULT_INITIAL_INTERVAL,
-    DEFAULT_MAX_ATTEMPTS,
-)
 from ..sharing.retransmit import RetransmitCache
 from ..sharing.stream import PeerIngress, ReceiveLeg
 from ..sharing.transport import PacketTransport, is_rtcp
 
 
-@dataclass(frozen=True, slots=True)
-class RelayConfig:
-    """Tuning knobs for one relay node."""
-
-    #: Encoded packets kept for local NACK service.  Bigger caches
-    #: absorb NACKs further into the past; the AH-side default (2048)
-    #: is doubled because a relay answers for many receivers at once.
-    retransmit_cache_packets: int = 4096
-    #: Upstream NACK retry schedule (mirrors the participant's).
-    nack_retry_interval: float = DEFAULT_INITIAL_INTERVAL
-    nack_backoff: float = DEFAULT_BACKOFF
-    nack_max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    #: Minimum spacing between upstream PLIs, however many downstream
-    #: PLIs arrive (the anti-storm valve).
-    pli_min_interval: float = 1.0
-    #: Per-downstream FIFO depth while a rate tier is throttling;
-    #: overflow drops the oldest queued packet (NACK recovery repairs
-    #: the hole downstream).
-    forward_queue_packets: int = 1024
-    #: Extended sequence numbers remembered for duplicate suppression.
-    forwarded_window: int = 4096
-    #: Media clock rate for hop-latency estimation.
-    clock_rate: int = DEFAULT_CLOCK_RATE
-    #: Silence thresholds for upstream/downstream liveness; None keeps
-    #: the historical behaviour (no silence-driven pruning, upstream
-    #: death only visible through ``upstream.closed``).
-    liveness: LivenessConfig | None = None
-    #: Upstream RTCP heartbeat pacing.  None picks the RFC 3550 5 s
-    #: default — unless ``liveness`` is set, in which case the interval
-    #: shrinks to ``dead_after / 3`` so the parent hears roughly three
-    #: heartbeats per dead window (the reporter jitters each interval
-    #: by 0.5–1.5x, so the worst-case gap stays under ``dead_after``).
-    #: Liveness thresholds shorter than the heartbeat interval declare
-    #: healthy-but-quiet peers dead; keep ``dead_after`` above it.
-    rtcp_interval: float | None = None
-    #: Downstream-feedback quarantine knobs (mirror
-    #: :class:`~repro.sharing.config.SharingConfig`): a downstream
-    #: exceeding ``rejection_budget`` malformed packets inside
-    #: ``rejection_window`` seconds is ignored for
-    #: ``quarantine_cooldown`` seconds.
-    rejection_budget: int = 16
-    rejection_window: float = 5.0
-    quarantine_cooldown: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.retransmit_cache_packets < 0:
-            raise ValueError("retransmit_cache_packets cannot be negative")
-        if self.pli_min_interval < 0:
-            raise ValueError("pli_min_interval cannot be negative")
-        if self.forward_queue_packets < 1:
-            raise ValueError("forward_queue_packets must be >= 1")
-        if self.forwarded_window < 1:
-            raise ValueError("forwarded_window must be >= 1")
-        if self.clock_rate <= 0:
-            raise ValueError("clock_rate must be positive")
-        if self.rtcp_interval is not None and self.rtcp_interval <= 0:
-            raise ValueError("rtcp_interval must be positive")
-
-    @property
-    def heartbeat_interval(self) -> float:
-        """The effective upstream RTCP pacing (see ``rtcp_interval``)."""
-        if self.rtcp_interval is not None:
-            return self.rtcp_interval
-        if self.liveness is not None:
-            return self.liveness.dead_after / 3.0
-        return RTCP_DEFAULT_INTERVAL
+#: Encoded packets kept for local NACK service.  Bigger caches absorb
+#: NACKs further into the past; the AH-side default (2048) is doubled
+#: because a relay answers for many receivers at once.
+RETRANSMIT_CACHE_PACKETS = 4096
+#: Minimum spacing between upstream PLIs, however many downstream PLIs
+#: arrive (the anti-storm valve).
+PLI_MIN_INTERVAL = 1.0
+#: Per-downstream FIFO depth while a rate tier is throttling; overflow
+#: drops the oldest queued packet (NACK recovery repairs the hole
+#: downstream).
+FORWARD_QUEUE_PACKETS = 1024
+#: Extended sequence numbers remembered for duplicate suppression.
+FORWARDED_WINDOW = 4096
 
 
 @dataclass(slots=True)
@@ -156,17 +98,27 @@ class RelayNode:
         relay_id: str,
         upstream: PacketTransport,
         clock=None,
-        config: RelayConfig | None = None,
+        liveness: LivenessConfig | None = None,
         rng: random.Random | None = None,
         obs=None,
     ) -> None:
         self.id = relay_id
-        self.config = config or RelayConfig()
+        #: Upstream RTCP heartbeat pacing: the RFC 3550 5 s default, or
+        #: ``dead_after / 3`` under ``liveness`` (silence thresholds for
+        #: both faces; None: no silence-driven pruning, upstream death
+        #: only visible through ``upstream.closed``) so the parent hears
+        #: roughly three heartbeats per dead window (the reporter
+        #: jitters each interval by 0.5-1.5x, so the worst-case gap
+        #: stays under ``dead_after``).
+        self.heartbeat_interval = (
+            RTCP_DEFAULT_INTERVAL if liveness is None
+            else liveness.dead_after / 3.0
+        )
         self._now = as_now(clock, default=lambda: 0.0)
         self.obs = (obs if obs is not None else NULL).scoped(
             peer=relay_id, side="relay"
         )
-        self._rng = rng or random.Random(0)
+        self._rng = rng or random.Random(zlib.crc32(relay_id.encode()))
         #: Our RTCP identity when we originate upstream feedback.
         self.ssrc = generate_ssrc(self._rng)
         self.downstreams: dict[str, RelayDownstream] = {}
@@ -175,7 +127,7 @@ class RelayNode:
         #: The downstream feedback loop: quarantine mute, silence-driven
         #: pruning of dead downstreams, pruning of closed ones.
         self.ingress = PeerIngress(
-            self._now, self.config, self.config.liveness,
+            self._now, liveness,
             on_rtcp=self._handle_downstream_rtcp,
             on_rtp=self._forward_hip,
             on_gone=self._prune_downstream,
@@ -183,14 +135,13 @@ class RelayNode:
         )
         self.quarantine = self.ingress.quarantine
         self.downstream_liveness = self.ingress.liveness
-        live_cfg = self.config.liveness
         #: Parent-death detection (drives failover in the tree layer).
         self.upstream_liveness = (
             LivenessTracker(
-                self._now, live_cfg,
+                self._now, liveness,
                 instrumentation=self.obs.scoped(link="upstream"),
             )
-            if live_cfg is not None else None
+            if liveness is not None else None
         )
         if self.upstream_liveness is not None:
             self.upstream_liveness.track("upstream")
@@ -377,20 +328,15 @@ class RelayNode:
         self.leg = ReceiveLeg(
             transport, self._now, self.ssrc,
             cname=f"relay/{self.id}", rng=self._rng,
-            clock_rate=self.config.clock_rate,
-            rtcp_interval=self.config.heartbeat_interval,
-            nack_retry_interval=self.config.nack_retry_interval,
-            nack_backoff=self.config.nack_backoff,
-            nack_max_attempts=self.config.nack_max_attempts,
-            obs=self.obs,
+            rtcp_interval=self.heartbeat_interval, obs=self.obs,
         )
         self.cache = RetransmitCache(
-            self.config.retransmit_cache_packets, instrumentation=self.obs
+            RETRANSMIT_CACHE_PACKETS, instrumentation=self.obs
         )
         #: Extended-sequence view of the forwarded stream, shared by the
         #: duplicate filter and the waiter table.
         self._extender = SequenceExtender()
-        #: Extended seqs already fanned out (bounded by forwarded_window).
+        #: Extended seqs already fanned out (bounded by FORWARDED_WINDOW).
         self._forwarded: set[int] = set()
         #: Extended seq → downstream ids still waiting for it (cache
         #: misses pending upstream recovery).
@@ -526,9 +472,9 @@ class RelayNode:
             self._deliver(downstream, raw)
 
     def _trim_forwarded(self, newest_ext: int) -> None:
-        if len(self._forwarded) <= 2 * self.config.forwarded_window:
+        if len(self._forwarded) <= 2 * FORWARDED_WINDOW:
             return
-        horizon = newest_ext - self.config.forwarded_window
+        horizon = newest_ext - FORWARDED_WINDOW
         self._forwarded = {e for e in self._forwarded if e >= horizon}
 
     # -- Downstream feedback -----------------------------------------------
@@ -578,7 +524,7 @@ class RelayNode:
 
     def _request_upstream_pli(self) -> None:
         now = self._now()
-        if now - self._last_upstream_pli < self.config.pli_min_interval:
+        if now - self._last_upstream_pli < PLI_MIN_INTERVAL:
             self.plis_suppressed += 1
             self._c_plis_suppressed.inc()
             return
@@ -622,7 +568,7 @@ class RelayNode:
             or not downstream.limiter.try_consume(len(raw))
         ):
             downstream.queue.append(raw)
-            if len(downstream.queue) > self.config.forward_queue_packets:
+            if len(downstream.queue) > FORWARD_QUEUE_PACKETS:
                 downstream.queue.popleft()
                 downstream.queue_drops += 1
                 self._c_queue_drops.inc()

@@ -29,12 +29,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..health.liveness import LivenessConfig
 from ..net.channel import ChannelConfig, FaultProfile, duplex_lossy
 from ..obs.instrumentation import NULL
 from ..sharing.ah import ApplicationHost
 from ..sharing.participant import Participant
 from ..sharing.transport import DatagramTransport
-from .node import RelayConfig, RelayNode
+from .node import RelayNode
 
 
 def duplex_transport_pair(
@@ -82,7 +83,7 @@ def attach_relay_to_relay(
     clock,
     channel_config: ChannelConfig | None = None,
     rate_bps: int | None = None,
-    relay_config: RelayConfig | None = None,
+    liveness: LivenessConfig | None = None,
     rng=None,
     obs=None,
     faults: FaultProfile | None = None,
@@ -94,7 +95,7 @@ def attach_relay_to_relay(
     )
     attach_under(parent, relay_id, parent_side, rate_bps)
     return RelayNode(
-        relay_id, child_side, clock=clock, config=relay_config,
+        relay_id, child_side, clock=clock, liveness=liveness,
         rng=rng, obs=obs,
     )
 
@@ -256,7 +257,7 @@ def build_relay_tree(
     fanouts: tuple[int, ...] = (2, 2),
     viewers_per_leaf: int = 2,
     channel_config: ChannelConfig | None = None,
-    relay_config: RelayConfig | None = None,
+    liveness: LivenessConfig | None = None,
     rate_bps: int | None = None,
     viewer_faults: FaultProfile | None = None,
     obs=None,
@@ -293,7 +294,7 @@ def build_relay_tree(
                 relay = attach_relay_to_relay(
                     parent, f"{prefix}-{i}", clock,
                     channel_config=link_config(), rate_bps=rate_bps,
-                    relay_config=relay_config, rng=rng, obs=obs,
+                    liveness=liveness, rng=rng, obs=obs,
                 )
                 tree.register(
                     relay, parent if depth else None, rate_bps=rate_bps

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .clock import DEFAULT_CLOCK_RATE
+
 _SEQ_MOD = 1 << 16
 #: RFC 3550 recommended constants for the validity/restart heuristics.
 MAX_DROPOUT = 3000
@@ -103,7 +105,7 @@ class SequenceTracker:
     internally and reported in seconds.
     """
 
-    def __init__(self, clock_rate: int = 90_000) -> None:
+    def __init__(self, clock_rate: int = DEFAULT_CLOCK_RATE) -> None:
         if clock_rate <= 0:
             raise ValueError("clock rate must be positive")
         self.clock_rate = clock_rate

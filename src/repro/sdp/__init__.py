@@ -2,7 +2,6 @@
 
 from .model import MediaDescription, RtpMap, SdpError, SessionDescription
 from .negotiation import (
-    DEFAULT_RATE,
     HIP_ENCODING,
     NegotiatedSession,
     REMOTING_ENCODING,
@@ -12,7 +11,6 @@ from .negotiation import (
 from .parser import parse_sdp
 
 __all__ = [
-    "DEFAULT_RATE",
     "HIP_ENCODING",
     "MediaDescription",
     "NegotiatedSession",

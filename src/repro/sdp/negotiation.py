@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..rtp.clock import DEFAULT_CLOCK_RATE
 from .model import MediaDescription, RtpMap, SdpError, SessionDescription
 
 REMOTING_ENCODING = "remoting"
 HIP_ENCODING = "hip"
-DEFAULT_RATE = 90_000
 
 
 def build_ah_offer(
@@ -28,7 +28,7 @@ def build_ah_offer(
     offer_udp: bool = True,
     offer_tcp: bool = True,
     retransmissions: bool = True,
-    clock_rate: int = DEFAULT_RATE,
+    clock_rate: int = DEFAULT_CLOCK_RATE,
     floor_id: int = 0,
     hip_label: int = 10,
     codecs: list[str] | None = None,

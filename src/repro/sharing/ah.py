@@ -79,11 +79,7 @@ class ApplicationHost:
         #: One content-addressed encode cache for the whole session:
         #: the same damaged block fanned out to N destinations (or
         #: repeated over time) is encoded once.
-        self.encode_cache = (
-            EncodeCache(self.config.encode_cache_entries)
-            if self.config.encode_cache_entries
-            else None
-        )
+        self.encode_cache = EncodeCache()
         #: One band-thread encode pool for the whole session (opt-in
         #: via ``encode_workers``); shared by every per-destination
         #: encoder like the cache.  Owned here: :meth:`close` joins its
@@ -107,14 +103,13 @@ class ApplicationHost:
             self.windows,
             pointer=self.pointer,
             scroll_detection=self.config.scroll_detection,
-            max_update_rects=self.config.max_update_rects,
             pointer_in_band=self.config.pointer_mode is PointerMode.IN_BAND,
         )
         #: The participant feedback loop: the per-participant
         #: quarantine mute, silence-driven eviction (opt-in through
         #: ``liveness``) and removal of closed paths.
         self.ingress = PeerIngress(
-            self._now, self.config, liveness,
+            self._now, liveness,
             on_rtcp=self._handle_rtcp,
             on_rtp=self._handle_rtp,
             on_gone=self._participant_gone,
@@ -180,8 +175,7 @@ class ApplicationHost:
             instrumentation=obs,
         )
         hip_receiver = RtpReceiver(
-            clock_rate=self.config.clock_rate, now=self._now,
-            instrumentation=obs.scoped(stream="hip"),
+            now=self._now, instrumentation=obs.scoped(stream="hip"),
         )
         reporter = RtcpReporter(
             self._now, sender=sender, receiver=hip_receiver,

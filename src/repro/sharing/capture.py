@@ -26,6 +26,10 @@ from ..surface.region import Region
 from ..surface.scroll import ScrollDetector
 from ..surface.window import WindowManager, layout_signature
 
+#: Damage per window is simplified to at most this many rectangles
+#: before encoding (fewer, larger RegionUpdates).
+MAX_UPDATE_RECTS = 16
+
 
 @dataclass(frozen=True, slots=True)
 class UpdateOp:
@@ -105,7 +109,7 @@ class CapturePipeline:
         manager: WindowManager,
         pointer: PointerState | None = None,
         scroll_detection: bool = True,
-        max_update_rects: int = 16,
+        max_update_rects: int = MAX_UPDATE_RECTS,
         pointer_in_band: bool = False,
     ) -> None:
         self.manager = manager

@@ -59,7 +59,6 @@ class FrameEncoder:
         self.selector = CodecSelector(
             registry,
             lossless_name=config.lossless_codec,
-            lossy_name=config.lossy_codec,
             allow_lossy=config.adaptive_codec,
         )
         #: Session-wide content-addressed cache (shared across the

@@ -21,6 +21,7 @@ Responsibilities per the draft:
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,11 @@ from .quarantine import QuarantinePolicy
 from .stream import ReceiveLeg
 from .transport import PacketTransport, is_rtcp
 
+#: A partial update older than this many seconds is dropped without
+#: completing (its END fragment is never coming); the PLI that follows
+#: repairs the window.
+PARTIAL_UPDATE_DEADLINE = 2.0
+
 
 @dataclass(slots=True)
 class LocalWindow:
@@ -88,14 +94,8 @@ class Participant:
         layout: LayoutPolicy | None = None,
         screen_width: int = 1280,
         screen_height: int = 1024,
-        ah_supports_retransmissions: bool = True,
         reorder_wait: float = 0.25,
         rtcp_interval: float | None = None,
-        nack_retry_interval: float = 0.2,
-        nack_backoff: float = 2.0,
-        nack_max_attempts: int = 4,
-        partial_update_deadline: float = 2.0,
-        extension_handlers: dict | None = None,
         rng: random.Random | None = None,
         obs=None,
     ) -> None:
@@ -114,9 +114,8 @@ class Participant:
         self.registry = registry or default_registry()
         self.layout = layout or OriginalLayout()
         self.screen = Rect(0, 0, screen_width, screen_height)
-        self.ah_supports_retransmissions = ah_supports_retransmissions
 
-        r = rng or random.Random()
+        r = rng or random.Random(zlib.crc32(participant_id.encode()))
         self.hip_sender = RtpSender(
             PT_HIP, now=self._now, rng=r, instrumentation=self._obs
         )
@@ -128,14 +127,10 @@ class Participant:
             transport, self._now, self.ssrc,
             cname=f"participant/{participant_id}", rng=r,
             sender=self.hip_sender,
-            clock_rate=self.config.clock_rate,
             rtcp_interval=(
                 RTCP_DEFAULT_INTERVAL if rtcp_interval is None
                 else rtcp_interval
             ),
-            nack_retry_interval=nack_retry_interval,
-            nack_backoff=nack_backoff,
-            nack_max_attempts=nack_max_attempts,
             obs=self._obs,
         )
         # Reordering only matters on unreliable paths; the wait must
@@ -149,7 +144,7 @@ class Participant:
         )
         #: Message type → handler(payload, packet) for registered
         #: extension types (section 9); unhandled types are ignored.
-        self.extension_handlers = dict(extension_handlers or {})
+        self.extension_handlers: dict = {}
         self.pli_retry_interval = 1.0
         self._last_pli_time = float("-inf")
         #: Decode-time geometry validation against the negotiated
@@ -161,14 +156,14 @@ class Participant:
         self._reassembler = UpdateReassembler(
             MSG_REGION_UPDATE,
             now=self._now,
-            max_partial_age=partial_update_deadline,
+            max_partial_age=PARTIAL_UPDATE_DEADLINE,
             instrumentation=self._obs.scoped(stream="remoting"),
             bounds=self._desktop_bounds,
         )
         self._pointer_reassembler = UpdateReassembler(
             MSG_MOUSE_POINTER_INFO,
             now=self._now,
-            max_partial_age=partial_update_deadline,
+            max_partial_age=PARTIAL_UPDATE_DEADLINE,
             instrumentation=self._obs.scoped(stream="pointer"),
             bounds=self._desktop_bounds,
         )
@@ -176,11 +171,7 @@ class Participant:
         #: rejection budget; a tripped budget mutes the uplink for the
         #: cool-down (the participant has one remote: the AH).
         self.quarantine = QuarantinePolicy(
-            now=self._now,
-            budget=self.config.rejection_budget,
-            window=self.config.rejection_window,
-            cooldown=self.config.quarantine_cooldown,
-            instrumentation=self._obs,
+            now=self._now, instrumentation=self._obs
         )
 
         #: windowID → LocalWindow, plus z-order (bottom first).
@@ -509,7 +500,7 @@ class Participant:
             # stop reporting them as missing.
             for seq in self._jitter.drain_skipped():
                 self.leg.forget(seq)
-        if self.ah_supports_retransmissions:
+        if self.config.retransmissions:
             actions = self.leg.poll_recovery()
             if actions.nack_now:
                 self.send_nack(actions.nack_now)

@@ -26,11 +26,22 @@ from ..obs.instrumentation import NULL
 from ..surface.geometry import Rect
 from ..surface.region import Region
 from ..surface.window import WindowManager
-from .capture import CapturedFrame, PointerOp, UpdateOp, window_manager_info
+from .capture import (
+    MAX_UPDATE_RECTS,
+    CapturedFrame,
+    PointerOp,
+    UpdateOp,
+    window_manager_info,
+)
 from .config import SharingConfig
 from .encoder import FrameEncoder, StampedPacket
 from .retransmit import RetransmitCache
 from .transport import PacketTransport
+
+#: Idle-sender RTP keepalive for UDP paths (RFC 6263 shape): a no-op
+#: packet after this many seconds of send silence keeps the sequence
+#: space moving so receivers detect tail loss and NACK it.
+KEEPALIVE_INTERVAL = 0.5
 
 
 @dataclass(slots=True)
@@ -80,9 +91,9 @@ class UpdateScheduler:
         )
         obs = instrumentation if instrumentation is not None else NULL
         self._spans = obs.spans
-        self.retransmit_cache = RetransmitCache(
-            config.retransmit_cache_packets if config.retransmissions else 0,
-            instrumentation=obs,
+        self.retransmit_cache = (
+            RetransmitCache(instrumentation=obs) if config.retransmissions
+            else RetransmitCache(0, instrumentation=obs)
         )
         self._queue: list[StampedPacket] = []  # encoded, awaiting path
         self._pending = _Pending()
@@ -231,7 +242,7 @@ class UpdateScheduler:
             if not self.manager.has(window_id):
                 continue
             window = self.manager.get(window_id)
-            for rect in region.simplified(self.config.max_update_rects):
+            for rect in region.simplified(MAX_UPDATE_RECTS):
                 clipped = rect.intersection(window.local_bounds)
                 if clipped.is_empty():
                     continue
@@ -256,8 +267,7 @@ class UpdateScheduler:
         participants ignore it while their gap detectors account for
         the sequence number.
         """
-        interval = self.config.keepalive_interval
-        if interval <= 0 or self.transport.reliable:
+        if self.transport.reliable:
             return
         if self._queue:
             # Not idle — just starved.  A keepalive here would consume
@@ -265,7 +275,7 @@ class UpdateScheduler:
             # trip the reassembler's continuity check downstream.
             return
         now = self._now()
-        if now - self._last_send_time < interval:
+        if now - self._last_send_time < KEEPALIVE_INTERVAL:
             return
         packet = self.encoder.sender.next_packet(b"\x00\x00\x00\x00")
         encoded = packet.encode()

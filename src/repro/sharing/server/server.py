@@ -315,7 +315,7 @@ class SessionServer:
         relay_id: str | None = None,
         channel_config: ChannelConfig | None = None,
         rate_bps: int | None = None,
-        relay_config=None,
+        liveness: LivenessConfig | None = None,
         close_when_empty: bool = False,
     ) -> str:
         """Hang a relay under ``parent_code``; returns the relay's code.
@@ -347,7 +347,7 @@ class SessionServer:
             relay_id=relay_id,
             channel_config=channel_config or self.channel_config,
             rate_bps=rate_bps,
-            relay_config=relay_config,
+            liveness=liveness,
             obs=self.obs,
             close_when_empty=close_when_empty,
             rng=random.Random(self._rng.randrange(1 << 30)),

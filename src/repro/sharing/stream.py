@@ -29,13 +29,7 @@ from ..rtp.rtcp import SenderReport, decode_compound
 from ..rtp.session import RtpReceiver, RtpSender
 from .config import PT_REMOTING
 from .quarantine import QuarantinePolicy
-from .recovery import (
-    DEFAULT_BACKOFF,
-    DEFAULT_INITIAL_INTERVAL,
-    DEFAULT_MAX_ATTEMPTS,
-    RecoveryActions,
-    RecoveryManager,
-)
+from .recovery import RecoveryActions, RecoveryManager
 from .transport import PacketTransport, is_rtcp
 
 
@@ -57,11 +51,7 @@ class ReceiveLeg:
         cname: str,
         rng: random.Random,
         sender: RtpSender | None = None,
-        clock_rate: int = DEFAULT_CLOCK_RATE,
         rtcp_interval: float = DEFAULT_INTERVAL,
-        nack_retry_interval: float = DEFAULT_INITIAL_INTERVAL,
-        nack_backoff: float = DEFAULT_BACKOFF,
-        nack_max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         obs=NULL,
     ) -> None:
         self.transport = transport
@@ -70,23 +60,15 @@ class ReceiveLeg:
         self.ssrc = ssrc
         #: The media SSRC being received (learned from the stream).
         self.media_ssrc = 0
-        self.clock_rate = clock_rate
         #: Stream (TCP-like) paths neither lose nor reorder: no gap can
         #: open, so the retry machine is never fed or polled.
         self.recovers = not transport.reliable
         self.receiver = RtpReceiver(
-            clock_rate=clock_rate, now=now,
-            instrumentation=obs.scoped(stream="remoting"),
+            now=now, instrumentation=obs.scoped(stream="remoting"),
         )
         #: Each missing extended sequence number walks NACK → backoff
         #: retries → capped give-up (section 5.3.2 hardening).
-        self.recovery = RecoveryManager(
-            now=now,
-            initial_interval=nack_retry_interval,
-            backoff=nack_backoff,
-            max_attempts=nack_max_attempts,
-            instrumentation=obs,
-        )
+        self.recovery = RecoveryManager(now=now, instrumentation=obs)
         #: Periodic RRs on the remoting stream (SRs too, given a
         #: ``sender``).  They double as the liveness heartbeat: an
         #: upstream that evicts on silence must keep ``dead_after``
@@ -195,7 +177,7 @@ class ReceiveLeg:
         diff = (rtp_timestamp - sr_rtp) & 0xFFFF_FFFF
         if diff >= 1 << 31:
             diff -= 1 << 32
-        latency = self._now() - (sr_wall + diff / self.clock_rate)
+        latency = self._now() - (sr_wall + diff / DEFAULT_CLOCK_RATE)
         return latency if 0.0 <= latency < 60.0 else None
 
 
@@ -207,16 +189,14 @@ class PeerIngress:
     dropped unread until the cool-down ends.  A peer whose transport
     closed, or that stayed silent past the dead threshold, is handed to
     ``on_gone(peer_id, "closed" | "dead")``, which detaches it and must
-    end in :meth:`remove`.  ``rejection`` is any config carrying
-    ``rejection_budget``, ``rejection_window`` and
-    ``quarantine_cooldown``; the handlers charge malformed packets to
-    :attr:`quarantine` themselves.
+    end in :meth:`remove`.  The handlers charge malformed packets to
+    :attr:`quarantine` (a :class:`QuarantinePolicy` on its default
+    budget) themselves.
     """
 
     def __init__(
         self,
         now: Callable[[], float],
-        rejection,
         liveness: LivenessConfig | None,
         on_rtcp: Callable[[str, bytes], None],
         on_rtp: Callable[[str, bytes], None],
@@ -229,13 +209,7 @@ class PeerIngress:
         #: peer id → (peer id, transport): the pair is built once so a
         #: drain over thousands of peers allocates nothing per peer.
         self._peers: dict[str, tuple[str, PacketTransport]] = {}
-        self.quarantine = QuarantinePolicy(
-            now=now,
-            budget=rejection.rejection_budget,
-            window=rejection.rejection_window,
-            cooldown=rejection.quarantine_cooldown,
-            instrumentation=obs,
-        )
+        self.quarantine = QuarantinePolicy(now=now, instrumentation=obs)
         #: Silence-driven eviction, opt-in: healthy paths always carry
         #: at least RTCP, so silence past the thresholds means the peer
         #: died or the path partitioned.

@@ -211,10 +211,3 @@ class TestApplicationHostSharedCache:
         s2 = ah.add_participant("p2", NullTransport())
         assert s1.scheduler.encoder.cache is ah.encode_cache
         assert s2.scheduler.encoder.cache is ah.encode_cache
-
-    def test_cache_disabled_by_config(self):
-        ah = ApplicationHost(
-            640, 480, config=SharingConfig(encode_cache_entries=0),
-            clock=SimulatedClock().now,
-        )
-        assert ah.encode_cache is None

@@ -13,7 +13,6 @@ from repro.apps.text_editor import TextEditorApp
 from repro.obs.instrumentation import Instrumentation
 from repro.rtp.clock import SimulatedClock
 from repro.sharing.ah import ApplicationHost
-from repro.sharing.config import SharingConfig
 from repro.surface.geometry import Rect
 
 from ..integration.helpers import settle, tcp_pair
@@ -26,18 +25,19 @@ GARBAGE = [
     bytes(range(64)),
 ]
 
+#: Four of the five GARBAGE packets count as rejections at the AH, so
+#: four rounds 0.2 s apart spend QuarantinePolicy's default budget of
+#: 16 inside its 5 s window.
+FLOOD_ROUNDS = 4
+
 
 @pytest.fixture
 def clock():
     return SimulatedClock()
 
 
-def _session(clock, obs, budget=8):
-    config = SharingConfig(
-        rejection_budget=budget, rejection_window=60.0,
-        quarantine_cooldown=30.0,
-    )
-    ah = ApplicationHost(config=config, clock=clock.now, obs=obs)
+def _session(clock, obs):
+    ah = ApplicationHost(clock=clock.now, obs=obs)
     window = ah.windows.create_window(Rect(40, 40, 300, 200))
     editor = TextEditorApp(window)
     ah.apps.attach(editor)
@@ -54,7 +54,7 @@ class TestHostilePeerQuarantine:
         assert honest.converged_with(ah.windows)
 
         # The hostile peer floods garbage; the honest one keeps working.
-        for round_index in range(4):
+        for round_index in range(FLOOD_ROUNDS):
             for junk in GARBAGE:
                 hostile.transport.send_packet(junk)
             editor.type_text("x")
@@ -74,13 +74,13 @@ class TestHostilePeerQuarantine:
             count for key, count in counters.items()
             if key.startswith("hardening.packets_rejected{")
         )
-        assert rejected >= ah.config.rejection_budget
+        assert rejected >= ah.quarantine.budget
         assert counters["hardening.peers_quarantined"] == 1
 
     def test_quarantine_expires_and_peer_recovers(self, clock):
         obs = Instrumentation(clock=clock)
-        ah, editor, honest, hostile = _session(clock, obs, budget=4)
-        for _ in range(2):
+        ah, editor, honest, hostile = _session(clock, obs)
+        for _ in range(FLOOD_ROUNDS):
             for junk in GARBAGE:
                 hostile.transport.send_packet(junk)
             settle(clock, ah, [honest, hostile], 10)
@@ -88,7 +88,7 @@ class TestHostilePeerQuarantine:
 
         # Ride out the cool-down; the peer is served again afterwards.
         settle(clock, ah, [honest, hostile],
-               rounds=int(ah.config.quarantine_cooldown / 0.02) + 10)
+               rounds=int(ah.quarantine.cooldown / 0.02) + 10)
         assert not ah.quarantine.is_quarantined("hostile")
         editor.type_text("back")
         settle(clock, ah, [honest, hostile], 40)
@@ -96,8 +96,8 @@ class TestHostilePeerQuarantine:
 
     def test_departing_peer_forgotten(self, clock):
         obs = Instrumentation(clock=clock)
-        ah, editor, honest, hostile = _session(clock, obs, budget=4)
-        for _ in range(2):
+        ah, editor, honest, hostile = _session(clock, obs)
+        for _ in range(FLOOD_ROUNDS):
             for junk in GARBAGE:
                 hostile.transport.send_packet(junk)
             settle(clock, ah, [honest, hostile], 10)

@@ -37,6 +37,55 @@ class TestMutators:
         assert len(outputs) > 10
 
 
+    def test_png_mutants_reach_inflate_and_unfilter(self, monkeypatch):
+        # Edits under a chunk CRC stop at the chunk layer; the png
+        # surface's own mutator must carry mutants past it.
+        import repro.codecs.png.decoder as decoder
+        from repro.codecs.png.decoder import decode_png
+        from repro.core.errors import ProtocolError
+        from repro.fuzz import build_rejects
+        from repro.fuzz.mutate import MUTATORS
+
+        reached = {"inflate": 0, "unfilter": 0}
+
+        def counting(stage, real):
+            def wrapped(*args, **kwargs):
+                reached[stage] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        seeds = build_corpus()["png"] + [
+            data for data, _ in build_rejects()["png"]
+        ]
+        rng = random.Random("0:png")  # the runner's seed-0 png stream
+        mutants = [
+            data for _, data in (
+                mutate(rng, seeds) for _ in range(300)
+            )
+            if data not in seeds
+        ]
+        monkeypatch.setattr(decoder, "bounded_decompress", counting(
+            "inflate", decoder.bounded_decompress
+        ))
+        monkeypatch.setattr(decoder, "unfilter_image", counting(
+            "unfilter", decoder.unfilter_image
+        ))
+        for data in mutants:
+            try:
+                decode_png(data)
+            except ProtocolError:
+                pass
+        assert reached["inflate"] >= 1
+        assert reached["unfilter"] >= 1
+        # Other data draws from the four shared mutators only, so the
+        # other surfaces' seeded streams are unchanged.
+        names = {
+            mutate(random.Random(i), [bytes(range(64))])[0]
+            for i in range(200)
+        }
+        assert names == {m.__name__ for m in MUTATORS} | {"identity"}
+
+
 class TestRunner:
     def test_smoke_run_is_clean(self):
         report = run_fuzz(seed=0, iterations=40)

@@ -59,8 +59,8 @@ def udp_pair(
 
     ``faults`` installs a :class:`~repro.net.channel.FaultProfile` on
     the forward (AH→participant) direction; extra keyword arguments are
-    forwarded to the :class:`Participant` constructor (e.g. to force
-    ``ah_supports_retransmissions`` against a non-retransmitting AH).
+    forwarded to the :class:`Participant` constructor (e.g. a ``config``
+    of its own, to make it NACK a non-retransmitting AH).
     """
     link = duplex_lossy(
         ChannelConfig(
@@ -77,14 +77,11 @@ def udp_pair(
         DatagramTransport(link.forward, link.backward),
         rate_bps=rate_bps,
     )
-    participant_kwargs.setdefault(
-        "ah_supports_retransmissions", ah.config.retransmissions
-    )
+    participant_kwargs.setdefault("config", ah.config)
     participant = Participant(
         participant_id,
         DatagramTransport(link.backward, link.forward),
         clock=clock.now,
-        config=ah.config,
         reorder_wait=reorder_wait,
         obs=obs,
         **participant_kwargs,

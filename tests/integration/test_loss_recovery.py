@@ -131,13 +131,6 @@ class TestTailLoss:
         settle(clock, ah, [participant], 200)
         assert ah.sessions["p1"].scheduler.keepalives_sent == 0
 
-    def test_keepalive_disabled_by_config(self, clock):
-        config = SharingConfig(keepalive_interval=0)
-        ah, _win, _editor = editor_session(clock, config)
-        participant = udp_pair(clock, ah)
-        settle(clock, ah, [participant], 200)
-        assert ah.sessions["p1"].scheduler.keepalives_sent == 0
-
 
 class TestLateJoiner:
     def test_late_joiner_syncs_via_pli(self, clock):
@@ -279,7 +272,7 @@ class TestGiveUpDegradation:
         ah, _win, editor = editor_session(clock, config)
         participant = udp_pair(
             clock, ah, seed=17, obs=obs,
-            ah_supports_retransmissions=True,
+            config=SharingConfig(retransmissions=True),
             reorder_wait=30.0,
         )
         world = session_world(clock, ah, [participant])

@@ -24,7 +24,7 @@ from repro.apps.text_editor import TextEditorApp
 from repro.health.liveness import LivenessConfig
 from repro.net.channel import ChannelConfig, duplex_reliable
 from repro.net.world import World, receive
-from repro.relay import RelayConfig, build_relay_tree
+from repro.relay import build_relay_tree
 from repro.relay.tree import attach_viewer
 from repro.rtp.clock import SimulatedClock
 from repro.sharing.ah import ApplicationHost
@@ -108,7 +108,7 @@ def build(clock):
     tree = build_relay_tree(
         ah, clock, fanouts=(2, 2), viewers_per_leaf=0,
         channel_config=ChannelConfig(delay=0.01, loss_rate=0.05, seed=77),
-        relay_config=RelayConfig(liveness=liveness),
+        liveness=liveness,
         rng=random.Random(22),
     )
     viewers = []

@@ -99,8 +99,9 @@ class TestGiveUpTracing:
         clock = SimulatedClock()
         obs = Instrumentation(clock=clock)
         obs.spans  # tracing on before the session is built
-        # AH ignores NACKs while the participant believes retransmission
-        # is supported: retries can only exhaust into give-up → PLI.
+        # AH ignores NACKs while the participant's own config says
+        # retransmission is supported: retries can only exhaust into
+        # give-up → PLI.
         config = SharingConfig(retransmissions=False)
         ah = ApplicationHost(config=config, clock=clock, obs=obs)
         win = ah.windows.create_window(Rect(50, 50, 400, 300))
@@ -110,7 +111,7 @@ class TestGiveUpTracing:
         ah.apps.attach(editor)
         participant = udp_pair(
             clock, ah, seed=17, obs=obs,
-            ah_supports_retransmissions=True,
+            config=SharingConfig(retransmissions=True),
             reorder_wait=30.0,
         )
         world = session_world(clock, ah, [participant])

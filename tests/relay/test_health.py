@@ -19,7 +19,7 @@ import pytest
 from repro.health import LivenessConfig, PeerState
 from repro.net.channel import ChannelConfig
 from repro.obs import Instrumentation
-from repro.relay import RelayConfig, RelayNode, duplex_transport_pair
+from repro.relay import RelayNode, duplex_transport_pair
 from repro.rtp.feedback import PictureLossIndication, nacks_for
 from repro.rtp.packet import RtpPacket
 from repro.rtp.rtcp import decode_compound
@@ -40,12 +40,12 @@ def media_packet(seq: int, ssrc: int = MEDIA_SSRC) -> bytes:
     ).encode()
 
 
-def make_relay(clock, config=None, obs=None):
+def make_relay(clock, liveness=None, obs=None):
     upstream_far, relay_up = duplex_transport_pair(
         ChannelConfig(delay=0.0), clock.now
     )
     relay = RelayNode(
-        "relay-h", relay_up, clock=clock, config=config, obs=obs
+        "relay-h", relay_up, clock=clock, liveness=liveness, obs=obs
     )
     return upstream_far, relay
 
@@ -80,7 +80,7 @@ class TestPruning:
     def test_silent_downstream_pruned_as_dead(self, clock):
         obs = Instrumentation(clock=clock.now)
         upstream, relay = make_relay(
-            clock, config=RelayConfig(liveness=LIVE), obs=obs
+            clock, liveness=LIVE, obs=obs
         )
         add_viewer(relay, clock, "quiet")
         clock.advance(LIVE.dead_after)
@@ -93,7 +93,7 @@ class TestPruning:
         assert counter.value == 1
 
     def test_chatty_downstream_stays(self, clock):
-        upstream, relay = make_relay(clock, config=RelayConfig(liveness=LIVE))
+        upstream, relay = make_relay(clock, liveness=LIVE)
         _near, far = add_viewer(relay, clock, "chatty")
         for _ in range(4):
             far.send_packet(
@@ -114,30 +114,23 @@ class TestPruning:
 
 class TestQuarantine:
     def test_malformed_rtcp_flood_quarantines_the_downstream(self, clock):
-        upstream, relay = make_relay(
-            clock,
-            config=RelayConfig(rejection_budget=3, rejection_window=10.0),
-        )
+        upstream, relay = make_relay(clock)
         _near, far = add_viewer(relay, clock, "hostile")
-        # RTCP by the mux rule (PT in 192..223) but truncated garbage.
-        for _ in range(4):
+        # RTCP by the mux rule (PT in 192..223) but truncated garbage,
+        # a whole default budget of it inside one window.
+        for _ in range(relay.quarantine.budget):
             far.send_packet(b"\x80\xc8\x00")
             pump(clock, relay)
         assert relay.quarantine.is_quarantined("hostile")
         assert "hostile" in relay.snapshot()["quarantined"]
 
     def test_quarantined_feedback_is_ignored_but_proves_liveness(self, clock):
-        upstream, relay = make_relay(
-            clock,
-            config=RelayConfig(
-                rejection_budget=1, rejection_window=10.0, liveness=LIVE
-            ),
-        )
+        upstream, relay = make_relay(clock, liveness=LIVE)
         upstream.send_packet(media_packet(10))
         _near, far = add_viewer(relay, clock, "hostile")
         pump(clock, relay)
         far.receive_packets()  # drain the forwarded copy
-        for _ in range(2):
+        for _ in range(relay.quarantine.budget):
             far.send_packet(b"\x80\xc8\x00")
             pump(clock, relay)
         assert relay.quarantine.is_quarantined("hostile")
@@ -202,7 +195,7 @@ class TestUpstreamLiveness:
     def test_silent_upstream_flagged_dead(self, clock):
         obs = Instrumentation(clock=clock.now)
         upstream, relay = make_relay(
-            clock, config=RelayConfig(liveness=LIVE), obs=obs
+            clock, liveness=LIVE, obs=obs
         )
         assert not relay.upstream_dead
         clock.advance(LIVE.dead_after)
@@ -214,7 +207,7 @@ class TestUpstreamLiveness:
         ).value == 1
 
     def test_media_keeps_upstream_alive(self, clock):
-        upstream, relay = make_relay(clock, config=RelayConfig(liveness=LIVE))
+        upstream, relay = make_relay(clock, liveness=LIVE)
         for _ in range(4):
             upstream.send_packet(media_packet(1))
             clock.advance(LIVE.dead_after / 2)
@@ -224,7 +217,7 @@ class TestUpstreamLiveness:
 
 class TestReplaceUpstream:
     def test_new_parent_means_full_stream_reset(self, clock):
-        upstream, relay = make_relay(clock, config=RelayConfig(liveness=LIVE))
+        upstream, relay = make_relay(clock, liveness=LIVE)
         _near, far = add_viewer(relay, clock, "v")
         upstream.send_packet(media_packet(20))
         pump(clock, relay)
@@ -269,7 +262,7 @@ class TestReplaceUpstream:
         )
 
     def test_forwarding_resumes_through_the_new_parent(self, clock):
-        upstream, relay = make_relay(clock, config=RelayConfig(liveness=LIVE))
+        upstream, relay = make_relay(clock, liveness=LIVE)
         _near, far = add_viewer(relay, clock, "v")
         new_far, new_relay_side = duplex_transport_pair(
             ChannelConfig(delay=0.0), clock.now

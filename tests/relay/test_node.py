@@ -15,11 +15,13 @@ The relay's contract has three faces:
 import pytest
 
 from repro.net.channel import ChannelConfig
-from repro.relay import RelayConfig, RelayNode, duplex_transport_pair
+from repro.relay import RelayNode, duplex_transport_pair
+from repro.relay.node import PLI_MIN_INTERVAL
 from repro.rtp.feedback import GenericNack, PictureLossIndication, nacks_for
 from repro.rtp.packet import RtpPacket
 from repro.rtp.rtcp import decode_compound
 from repro.sharing.config import PT_HIP, PT_REMOTING
+from repro.sharing.retransmit import RetransmitCache
 
 MEDIA_SSRC = 0x5350_4A52
 VIEWER_SSRC = 0x0BAD_F00D
@@ -179,10 +181,8 @@ class TestNackAbsorption:
         upstream_far, relay_up = duplex_transport_pair(
             ChannelConfig(delay=0.0), clock.now
         )
-        relay = RelayNode(
-            "relay-aged", relay_up, clock=clock,
-            config=RelayConfig(retransmit_cache_packets=2),
-        )
+        relay = RelayNode("relay-aged", relay_up, clock=clock)
+        relay.cache = RetransmitCache(2)
         downstream = {}
         for name in ("a", "b"):
             near, far = duplex_transport_pair(
@@ -254,7 +254,7 @@ class TestPliValve:
         pli = PictureLossIndication(VIEWER_SSRC, MEDIA_SSRC).encode()
         downstream["a"].send_packet(pli)
         pump(clock, relay)
-        clock.advance(relay.config.pli_min_interval)
+        clock.advance(PLI_MIN_INTERVAL)
         downstream["a"].send_packet(pli)
         pump(clock, relay)
         plis = [
@@ -270,18 +270,14 @@ class TestGiveUp:
         upstream_far, relay_up = duplex_transport_pair(
             ChannelConfig(delay=0.0), clock.now
         )
-        relay = RelayNode(
-            "relay-g", relay_up, clock=clock,
-            config=RelayConfig(
-                nack_retry_interval=0.05, nack_max_attempts=2,
-                pli_min_interval=0.0,
-            ),
-        )
+        relay = RelayNode("relay-g", relay_up, clock=clock)
         upstream_far.send_packet(media_packet(500))
         upstream_far.send_packet(media_packet(502))
         pump(clock, relay)
-        # Upstream never repairs: retries exhaust into a PLI degrade.
-        for _ in range(12):
+        # Upstream never repairs: the default ladder (NACK, then
+        # retries after 0.2 + 0.4 + 0.8 s, give-up 1.6 s later: 3.0 s)
+        # exhausts into a PLI degrade.
+        for _ in range(70):
             clock.advance(0.05)
             relay.pump()
         messages = [
@@ -355,11 +351,3 @@ class TestTopology:
         relay.remove_downstream("a")
         assert all("a" not in w for w in relay._wanted.values())
         assert relay.downstream_count == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RelayConfig(forward_queue_packets=0)
-        with pytest.raises(ValueError):
-            RelayConfig(pli_min_interval=-1.0)
-        with pytest.raises(ValueError):
-            RelayConfig(retransmit_cache_packets=-1)

@@ -56,6 +56,26 @@ class TestTreeShape:
             }
             assert len(child_ids) == 2
 
+    def test_relays_built_without_rng_get_distinct_replayable_ssrcs(
+        self, clock
+    ):
+        # RFC 3550 section 8: every source in a session has its own
+        # SSRC.  Without an ``rng`` each relay seeds from its own id, so
+        # the tree is also the same on every build.
+        def ssrcs():
+            tree = build_relay_tree(
+                ApplicationHost(clock=clock), clock, fanouts=(2, 2),
+                viewers_per_leaf=1,
+            )
+            return [r.ssrc for r in tree.relays], [
+                v.ssrc for v in tree.viewers
+            ]
+
+        relays, viewers = ssrcs()
+        assert len(set(relays)) == len(relays) == 6
+        assert len(set(viewers)) == len(viewers) == 4
+        assert ssrcs() == (relays, viewers)
+
 
 class TestConvergence:
     def test_two_level_tree_converges_lossless(self, clock, shared_ah):
@@ -137,14 +157,11 @@ class TestFailover:
 
     def _grow_tree(self, clock, ah):
         from repro.health import LivenessConfig
-        from repro.relay import RelayConfig
 
         return build_relay_tree(
             ah, clock, fanouts=(2, 2), viewers_per_leaf=2,
             channel_config=ChannelConfig(delay=0.005, seed=21),
-            relay_config=RelayConfig(
-                liveness=LivenessConfig(**self.LIVE_KW)
-            ),
+            liveness=LivenessConfig(**self.LIVE_KW),
             rtcp_interval=0.3,  # viewer heartbeat < dead_after
         )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.rtp.clock import DEFAULT_CLOCK_RATE
 from repro.sharing.config import PT_HIP, PT_REMOTING, PointerMode, SharingConfig
 
 
@@ -23,17 +24,16 @@ class TestSharingConfig:
         assert config.scroll_detection
         assert config.backlog_coalescing
         assert config.pointer_mode is PointerMode.EXPLICIT
-        assert config.clock_rate == 90_000
+        # Sections 5.1.1 / 6.1.1: the one media clock, fixed by the draft.
+        assert DEFAULT_CLOCK_RATE == 90_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SharingConfig(max_rtp_payload=10)
         with pytest.raises(ValueError):
-            SharingConfig(retransmit_cache_packets=-1)
+            SharingConfig(max_desktop_width=0)
         with pytest.raises(ValueError):
-            SharingConfig(max_update_rects=0)
-        with pytest.raises(ValueError):
-            SharingConfig(clock_rate=0)
+            SharingConfig(encode_workers=-2)
 
     def test_frozen(self):
         config = SharingConfig()

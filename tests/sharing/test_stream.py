@@ -6,12 +6,13 @@ import pytest
 
 from repro.core.errors import ProtocolError
 from repro.health.liveness import LivenessConfig
+from repro.rtp.clock import DEFAULT_CLOCK_RATE
 from repro.rtp.feedback import GenericNack, PictureLossIndication
 from repro.rtp.packet import RtpPacket
 from repro.rtp.reports import RtcpReporter
 from repro.rtp.rtcp import decode_compound
 from repro.rtp.session import RtpSender
-from repro.sharing.config import PT_HIP, PT_REMOTING, SharingConfig
+from repro.sharing.config import PT_HIP, PT_REMOTING
 from repro.sharing.stream import PeerIngress, ReceiveLeg
 from repro.sharing.transport import PacketTransport
 
@@ -60,16 +61,17 @@ def make_leg(clock, transport, **kwargs) -> ReceiveLeg:
 class TestReceiveLegRecovery:
     def test_gap_nack_retry_give_up(self, clock):
         transport = ScriptedTransport()
-        leg = make_leg(
-            clock, transport, nack_retry_interval=0.1, nack_backoff=2.0,
-            nack_max_attempts=2,
-        )
+        leg = make_leg(clock, transport)
         for seq in (10, 11, 13):
             packet, recovered = leg.receive_rtp(media(seq))
             assert packet.sequence_number == seq and not recovered
         assert leg.media_ssrc == MEDIA_SSRC
 
         # Fresh gap: NACK now.  Sending is the owner's call.
+        def poll_after(seconds: float):
+            clock.advance(seconds)
+            return leg.poll_recovery()
+
         actions = leg.poll_recovery()
         assert actions.nack_now == [12] and not actions.gave_up
         assert transport.sent == []
@@ -79,18 +81,16 @@ class TestReceiveLegRecovery:
         assert (nack.sender_ssrc, nack.media_ssrc) == (OUR_SSRC, MEDIA_SSRC)
         assert nack.sequence_numbers() == [12] and len(sizes) == 1
 
-        # Inside the retry interval nothing is asked again.
-        clock.advance(0.05)
-        assert leg.poll_recovery().nack_now == []
-        # Past it: one retry, backed off.
-        clock.advance(0.06)
-        assert leg.poll_recovery().nack_now == [12]
-        clock.advance(0.15)
-        assert leg.poll_recovery().nack_now == []
-        # Attempts exhausted: given up, and no longer reported missing,
-        # so the owner's PLI is the only thing left to send.
-        clock.advance(0.1)
-        actions = leg.poll_recovery()
+        # The default ladder: retries 0.2, 0.4 and 0.8 s apart, nothing
+        # asked again in between.
+        for interval in (0.2, 0.4, 0.8):
+            assert poll_after(interval - 0.05).nack_now == []
+            assert poll_after(0.05 + 1e-9).nack_now == [12]
+        assert poll_after(1.6 - 0.05).nack_now == []
+        # Attempts exhausted 1.6 s after the last one (3.0 s in all):
+        # given up, and no longer reported missing, so the owner's PLI
+        # is the only thing left to send.
+        actions = poll_after(0.05 + 1e-9)
         assert actions.gave_up == [12] and actions.nack_now == []
         assert leg.receiver.missing_sequence_numbers() == []
         assert leg.poll_recovery().nack_now == []
@@ -199,7 +199,7 @@ class TestReceiveLegStream:
         clock.advance(0.05)
         assert leg.latency_of(captured) == pytest.approx(0.30, abs=1e-3)
         # Implausible (a timestamp an hour ahead) is no estimate at all.
-        assert leg.latency_of(captured + 3600 * leg.clock_rate) is None
+        assert leg.latency_of(captured + 3600 * DEFAULT_CLOCK_RATE) is None
 
     def test_report_goes_out_when_due_and_is_the_heartbeat(self, clock):
         transport = ScriptedTransport()
@@ -215,16 +215,12 @@ class TestReceiveLegStream:
 
 
 class IngressHarness:
-    def __init__(self, clock, liveness=None, budget=2) -> None:
+    def __init__(self, clock, liveness=None) -> None:
         self.rtcp: list[tuple[str, bytes]] = []
         self.rtp: list[tuple[str, bytes]] = []
         self.gone: list[tuple[str, str]] = []
         self.ingress = PeerIngress(
             clock.now,
-            SharingConfig(
-                rejection_budget=budget, rejection_window=60.0,
-                quarantine_cooldown=10.0,
-            ),
             liveness,
             on_rtcp=lambda peer, raw: self.rtcp.append((peer, raw)),
             on_rtp=lambda peer, raw: self.rtp.append((peer, raw)),
@@ -258,10 +254,11 @@ class TestPeerIngress:
 
     def test_quarantined_peer_is_drained_alive_and_ignored(self, clock):
         liveness = LivenessConfig(suspect_after=1.0, dead_after=2.0)
-        h = IngressHarness(clock, liveness=liveness, budget=2)
+        h = IngressHarness(clock, liveness=liveness)
         bad, good = h.add("bad"), h.add("good")
-        for _ in range(2):
-            h.ingress.quarantine.record_rejection("bad", "rtcp")
+        quarantine = h.ingress.quarantine
+        for _ in range(quarantine.budget):
+            quarantine.record_rejection("bad", "rtcp")
         assert h.ingress.quarantine.is_quarantined("bad")
         for _ in range(4):  # 4 x 0.6 s: well past dead_after
             clock.advance(0.6)
@@ -273,7 +270,7 @@ class TestPeerIngress:
         assert [peer for peer, _raw in h.rtcp] == ["good"] * 4
         assert h.rtp == [] and h.gone == []
         # The cool-down over, the same peer is heard again.
-        clock.advance(10.0)
+        clock.advance(quarantine.cooldown)
         bad.inbox = [PLI]
         good.inbox = [PLI]
         h.ingress.drain()
@@ -302,9 +299,10 @@ class TestPeerIngress:
 
     def test_remove_forgets_quarantine_and_liveness(self, clock):
         liveness = LivenessConfig(suspect_after=1.0, dead_after=2.0)
-        h = IngressHarness(clock, liveness=liveness, budget=1)
+        h = IngressHarness(clock, liveness=liveness)
         h.add("p")
-        h.ingress.quarantine.record_rejection("p", "rtp")
+        for _ in range(h.ingress.quarantine.budget):
+            h.ingress.quarantine.record_rejection("p", "rtp")
         assert h.ingress.quarantine.is_quarantined("p")
         h.ingress.remove("p")
         assert not h.ingress.quarantine.is_quarantined("p")
